@@ -276,6 +276,9 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
             print("cross-check applies to frechet or lb kinds", file=sys.stderr)
             return EXIT_VALIDATION
         nx, ny = args.grid
+        if nx < 1 or ny < 1:
+            print("cross-check grid needs at least 1x1 points", file=sys.stderr)
+            return EXIT_VALIDATION
         rect = args.rect
         grid = filtered_grid(args.kind, args.p, args.alpha, args.nmax,
                              re_range=(rect[0], rect[1]),

@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .norms import SpaceKind
+from .norms import SpaceKind, SpaceSpec
 
 __all__ = [
     "Membership",
@@ -230,36 +230,92 @@ def _re_reciprocal(lams: np.ndarray) -> np.ndarray:
     return out
 
 
+def _step_alphas(kind: SpaceKind, p: float, alpha: float,
+                 n_max: int) -> list[float]:
+    """Weight exponents of the admissible steps n <= n_max, in order of n."""
+    if kind not in (SpaceKind.FRECHET_INTERSECTION, SpaceKind.LB_UNION):
+        raise ValueError("cross-check applies to limit spaces only")
+    spec = SpaceSpec(p, alpha, kind)
+    step_alphas = [spec.step_alpha(n) for n in spec.admissible_steps(n_max)]
+    if not step_alphas:
+        raise ValueError("no admissible steps: increase n_max")
+    return step_alphas
+
+
 def _exclusion_mask(kind: SpaceKind, p: float, alpha: float, n_max: int,
                     lams: np.ndarray, band: float) -> np.ndarray:
     """Points too close to any boundary circle or isolated point to compare
     reliably, plus the crescent between the limit circle and the tightest
     step circle (which only an infinite union would resolve)."""
     r_limit = _disk_parameter(p, alpha)
-    if kind is SpaceKind.FRECHET_INTERSECTION:
-        step_alphas = [alpha + 1.0 / n for n in range(1, n_max + 1)]
-    elif kind is SpaceKind.LB_UNION:
-        n_min = int(math.floor(1.0 / alpha)) + 1
-        step_alphas = [alpha - 1.0 / n for n in range(n_min, n_max + 1)]
-        if not step_alphas:
-            raise ValueError("no admissible steps: increase n_max")
-    else:
-        raise ValueError("cross-check applies to limit spaces only")
-    circles = [r_limit] + [_disk_parameter(p, a) for a in step_alphas]
+    step_alphas = _step_alphas(kind, p, alpha, n_max)
+    circles = np.sort([r_limit] + [_disk_parameter(p, a) for a in step_alphas])
+    # The circle of parameter r has center = radius = c = 1/(2r).  For fixed
+    # lam, g(c) = |lam - c| - c has slope (c - Re lam)/|lam - c| - 1 <= 0, so
+    # it is non-increasing in c and non-decreasing in r, and it vanishes at
+    # r = rho = Re(1/lam).  The circles with |g| <= band therefore form a
+    # contiguous run in sorted r, and when the run is not empty it contains
+    # a nearest neighbour of rho, circles[k-1] or circles[k] with k the
+    # insertion index of rho.  Testing the window k-2 .. k+1 with the exact
+    # per-circle test gives the same mask as testing every circle; the extra
+    # neighbours absorb the rounding of rho.  Re lam <= 0 gives k = 0, and
+    # lam = 0 gives rho = inf (k past the end, clipped); there every circle
+    # passes.
+    re = _re_reciprocal(lams)
+    k = np.searchsorted(circles, re)
     excl = np.zeros(lams.shape, dtype=bool)
-    for r in circles:
-        center = radius = 0.5 / r
+    for offset in (-2, -1, 0, 1):
+        center = radius = 0.5 / circles[np.clip(k + offset, 0, len(circles) - 1)]
         excl |= np.abs(np.abs(lams - center) - radius) <= band
     # isolated points of every involved description, limit and steps
-    max_r = max(circles)
+    max_r = circles[-1]
     for m in range(1, int(math.floor(max_r + 1.0 + _INT_DETECT)) + 1):
         excl |= np.abs(lams - 1.0 / m) <= band
     # unresolved crescent between the limit circle and the tightest step
-    re = _re_reciprocal(lams)
     r_tight = _disk_parameter(p, step_alphas[-1])
     lo, hi = sorted((r_limit, r_tight))
     excl |= (re >= lo - band) & (re <= hi + band)
     return excl
+
+
+def _assembled_mask(kind: SpaceKind, p: float, alpha: float, n_max: int,
+                    lams: np.ndarray) -> np.ndarray:
+    """Membership in the assembly of Banach step spectra, streamed over the
+    steps in O(grid) memory.
+
+    A step's closed disk is judged by the reciprocal predicate
+    Re(1/lam) >= r_n.  The origin is masked once, and so is each distinct
+    eigenvalue set {1/m : m < r_n}, which the steps sharing it reuse.
+    """
+    steps = [banach_spectrum(p, a) for a in _step_alphas(kind, p, alpha, n_max)]
+    re = _re_reciprocal(lams)
+    origin = np.abs(lams) <= _POINT_TOL
+    point_masks: dict[tuple[float, ...], np.ndarray] = {}
+
+    def step_mask(s: SpectralDescription) -> np.ndarray:
+        # every step is a Banach description, so it includes the origin
+        pts = point_masks.get(s.points)
+        if pts is None:
+            pts = origin.copy()
+            for pt in s.points:
+                pts |= np.abs(lams - pt) <= _POINT_TOL
+            point_masks[s.points] = pts
+        if s.disk_boundary is DiskBoundary.CLOSED:
+            return pts | (re >= s.disk_r)
+        return pts | (re > s.disk_r)
+
+    if kind is SpaceKind.FRECHET_INTERSECTION:
+        assembled = origin.copy()  # {0} joins the union
+        for s in steps:
+            assembled |= step_mask(s)
+        return assembled
+    # LB: intersect over m the tail unions of steps n >= m, walking n down
+    running = step_mask(steps[-1])
+    assembled = running.copy()
+    for s in reversed(steps[:-1]):
+        running |= step_mask(s)
+        assembled &= running
+    return assembled
 
 
 @dataclass(frozen=True)
@@ -289,33 +345,30 @@ def step_union_crosscheck(
 
     Frechet: membership in {0} union of sigma(steps alpha + 1/n), n <= n_max.
     LB: the nested intersection over m of the tail unions of sigma(steps
-    alpha - 1/n), m <= n <= n_max.  Both sides are computed from independent
-    closed forms.  Raises :class:`BoundaryTooClose` if the grid enters the
-    exclusion band (see :func:`filtered_grid` to build a safe grid).
+    alpha - 1/n), m <= n <= n_max.  The two sides use independent closed
+    forms and independent predicates: the limit side judges its disk by the
+    distance |lam - center| <= radius, the step assembly by Re(1/lam) >= r.
+    Memory is O(grid): the steps are streamed, never stacked.  Raises
+    :class:`BoundaryTooClose` if the grid enters the exclusion band (see
+    :func:`filtered_grid` to build a safe grid), and ValueError if there is
+    no sample point to check or no admissible step.
     """
     kind = SpaceKind(kind) if isinstance(kind, str) else kind
     lams = np.asarray(sample_grid, dtype=complex).ravel()
+    if lams.size == 0:
+        raise ValueError("no sample points to check: every grid point was "
+                         "excluded or the grid is empty")
     bad = _exclusion_mask(kind, p, alpha, n_max, lams, band)
     if np.any(bad):
         offender = lams[bad][0]
         raise BoundaryTooClose(
             f"{int(bad.sum())} grid point(s) inside the exclusion band, "
             f"first offender {offender}")
+    assembled = _assembled_mask(kind, p, alpha, n_max, lams)
     if kind is SpaceKind.FRECHET_INTERSECTION:
         limit = frechet_spectrum(p, alpha)
-        steps = [banach_spectrum(p, alpha + 1.0 / n) for n in range(1, n_max + 1)]
-        assembled = np.abs(lams) <= _POINT_TOL  # {0} joins the union
-        for s in steps:
-            assembled |= _member_mask(s, lams)
     else:
         limit = lb_spectrum(p, alpha)
-        n_min = int(math.floor(1.0 / alpha)) + 1
-        ns = list(range(n_min, n_max + 1))
-        members = np.stack([_member_mask(banach_spectrum(p, alpha - 1.0 / n), lams)
-                            for n in ns])
-        # suffix unions, then intersect over the tail start
-        tail_union = np.logical_or.accumulate(members[::-1], axis=0)[::-1]
-        assembled = np.logical_and.reduce(tail_union, axis=0)
     limit_mask = _member_mask(limit, lams)
     diff = limit_mask != assembled
     return CrosscheckReport(

@@ -118,6 +118,28 @@ class TestSpectrumCommand:
                                "-p", "2", "--alpha", "2", "--crosscheck")
         assert code == 2
 
+    @pytest.mark.parametrize("kind", ["frechet", "lb"])
+    def test_crosscheck_without_steps_exits_2(self, capsys, kind):
+        code, out, err = run_cli(capsys, "spectrum", "--kind", kind, "-p", "2",
+                                 "--alpha", "2", "--crosscheck", "--nmax", "0")
+        assert code == 2 and out == ""
+        assert "no admissible steps" in err
+
+    @pytest.mark.parametrize("grid", ["0x0", "1x0", "0x5"])
+    def test_crosscheck_empty_grid_exits_2(self, capsys, grid):
+        code, out, err = run_cli(capsys, "spectrum", "--kind", "lb", "-p", "2",
+                                 "--alpha", "2", "--crosscheck", "--grid", grid)
+        assert code == 2 and out == ""
+        assert "grid" in err
+
+    def test_crosscheck_fully_excluded_grid_exits_2(self, capsys):
+        # a 1x1 lattice at the origin, which every circle passes through
+        code, out, err = run_cli(capsys, "spectrum", "--kind", "frechet",
+                                 "-p", "2", "--alpha", "2", "--crosscheck",
+                                 "--grid", "1x1", "--rect", "0,0,0,0")
+        assert code == 2 and out == ""
+        assert "no sample points" in err
+
     def test_waelbroeck_flag_closes_boundary(self, capsys):
         code, out, _ = run_cli(capsys, "spectrum", "--kind", "frechet",
                                "-p", "2", "--alpha", "2", "--waelbroeck",

@@ -1,6 +1,12 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from cesaro_bergman.norms import SpaceKind
+from cesaro_bergman.spectra import _assembled_mask, _exclusion_mask, _member_mask
 from cesaro_bergman.spectra import (
     BoundaryTooClose,
     DiskBoundary,
@@ -13,6 +19,71 @@ from cesaro_bergman.spectra import (
     step_union_crosscheck,
     waelbroeck,
 )
+
+
+# ---------------------------------------------------------------------------
+# brute-force oracle: every circle against every point, every step stacked
+# ---------------------------------------------------------------------------
+
+def _oracle_step_alphas(kind, alpha, n_max):
+    if kind is SpaceKind.FRECHET_INTERSECTION:
+        return [alpha + 1.0 / n for n in range(1, n_max + 1)]
+    n_min = int(math.floor(1.0 / alpha)) + 1
+    return [alpha - 1.0 / n for n in range(n_min, n_max + 1)]
+
+
+def oracle_exclusion_mask(kind, p, alpha, n_max, lams, band):
+    step_alphas = _oracle_step_alphas(kind, alpha, n_max)
+    r_limit = (2.0 + alpha) / p
+    circles = [r_limit] + [(2.0 + a) / p for a in step_alphas]
+    excl = np.zeros(lams.shape, dtype=bool)
+    for r in circles:
+        center = radius = 0.5 / r
+        excl |= np.abs(np.abs(lams - center) - radius) <= band
+    for m in range(1, int(math.floor(max(circles) + 1.0 + 1e-9)) + 1):
+        excl |= np.abs(lams - 1.0 / m) <= band
+    re = np.full(lams.shape, np.inf)
+    nz = lams != 0
+    re[nz] = (1.0 / lams[nz]).real
+    lo, hi = sorted((r_limit, (2.0 + step_alphas[-1]) / p))
+    excl |= (re >= lo - band) & (re <= hi + band)
+    return excl
+
+
+def oracle_assembled_mask(kind, p, alpha, n_max, lams):
+    members = np.stack([_member_mask(banach_spectrum(p, a), lams)
+                        for a in _oracle_step_alphas(kind, alpha, n_max)])
+    if kind is SpaceKind.FRECHET_INTERSECTION:
+        return (np.abs(lams) <= 1e-12) | np.logical_or.reduce(members, axis=0)
+    # suffix unions, then intersect over the tail start
+    tail_union = np.logical_or.accumulate(members[::-1], axis=0)[::-1]
+    return np.logical_and.reduce(tail_union, axis=0)
+
+
+def _lattice(rect, nx, ny):
+    re = np.linspace(rect[0], rect[1], nx)
+    im = np.linspace(rect[2], rect[3], ny)
+    return (re[:, None] + 1j * im[None, :]).ravel()
+
+
+def assert_matches_oracle(kind, p, alpha, n_max, lams, band=1e-9):
+    """Compare both masks with the oracle on lams plus probes: one point on
+    each circle, and points within _POINT_TOL of each eigenvalue (which the
+    band would exclude, so the assembly sees them only as extra probes)."""
+    kind = SpaceKind(kind)
+    rs = [(2.0 + alpha) / p] + [(2.0 + a) / p
+                                for a in _oracle_step_alphas(kind, alpha, n_max)]
+    on_circles = np.array([0.5 / r * (1.0 + np.exp(1j * (0.3 + 2.1 * i)))
+                           for i, r in enumerate(rs)])
+    near_eigen = np.array([1.0 / m + 5e-13 for m in range(1, int(max(rs)) + 3)],
+                          dtype=complex)
+    lams = np.concatenate([lams, on_circles])
+    excl = _exclusion_mask(kind, p, alpha, n_max, lams, band)
+    assert np.array_equal(excl, oracle_exclusion_mask(kind, p, alpha, n_max,
+                                                      lams, band))
+    probe = np.concatenate([lams[~excl], near_eigen])
+    assert np.array_equal(_assembled_mask(kind, p, alpha, n_max, probe),
+                          oracle_assembled_mask(kind, p, alpha, n_max, probe))
 
 
 class TestBanachSpectrum:
@@ -150,6 +221,79 @@ class TestCrosscheck:
         grid = filtered_grid("lb", 1.5, 0.7, 30, nx=25, ny=25)
         report = step_union_crosscheck("lb", 1.5, 0.7, 30, grid)
         assert report.ok
+
+
+class TestStreamedAssemblyOracle:
+    """The windowed exclusion mask and the streamed step assembly agree bit
+    for bit with the brute-force oracle above."""
+
+    # 0, the real axis, the eigenvalues and the circles' far ends
+    SPECIAL = np.array([0.0, 1.0, 0.5, 1.0 / 3.0, 0.25, 0.2, -1.0, 2.0,
+                        0.1 + 0.0j, 1e-12, -1e-12j, 0.3j, -0.7 + 0.2j])
+
+    @pytest.mark.parametrize("kind,p,alpha,n_max", [
+        ("frechet", 2.0, 2.0, 60),    # integral r = 2
+        ("lb", 2.0, 2.0, 60),
+        ("frechet", 1.5, 4.0, 120),   # r = 4; each step has 1, 1/2, 1/3, 1/4
+        ("lb", 1.25, 5.0, 200),       # r = 5.6, several eigenvalues per step
+        ("lb", 1.5, 0.7, 40),         # alpha < 1: steps start at n = 2
+        ("lb", 3.0, 0.3, 80),         # alpha < 1: steps start at n = 4
+        ("frechet", 3.0, 1.6, 300),
+    ])
+    def test_pinned_cases(self, kind, p, alpha, n_max):
+        # 21x21 on the symmetric square holds 0 and 21 real-axis points
+        lams = np.concatenate([_lattice((-1.0, 1.0, -1.0, 1.0), 21, 21),
+                               _lattice((-1.0, 2.0, -1.0, 1.0), 40, 31),
+                               self.SPECIAL.astype(complex)])
+        assert 0 in lams and np.count_nonzero(lams.imag == 0) > 40
+        assert_matches_oracle(kind, p, alpha, n_max, lams)
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(kind=st.sampled_from(["frechet", "lb"]),
+           p=st.floats(1.2, 4.0),
+           alpha=st.floats(0.2, 6.0),
+           n_max=st.integers(1, 300),
+           re0=st.floats(-3.0, 2.0), re_span=st.floats(0.01, 4.0),
+           im0=st.floats(-2.0, 1.0), im_span=st.floats(0.01, 3.0),
+           nx=st.integers(1, 25), ny=st.integers(1, 25),
+           band=st.sampled_from([1e-9, 1e-6, 1e-3]))
+    def test_random_rects(self, kind, p, alpha, n_max, re0, re_span, im0,
+                          im_span, nx, ny, band):
+        lams = _lattice((re0, re0 + re_span, im0, im0 + im_span), nx, ny)
+        if kind == "lb" and int(math.floor(1.0 / alpha)) + 1 > n_max:
+            with pytest.raises(ValueError, match="no admissible steps"):
+                _exclusion_mask(SpaceKind(kind), p, alpha, n_max, lams, band)
+            return
+        assert_matches_oracle(kind, p, alpha, n_max, lams, band)
+
+
+class TestCrosscheckInputs:
+    @pytest.mark.parametrize("kind", ["frechet", "lb"])
+    def test_no_steps_raises_value_error(self, kind):
+        with pytest.raises(ValueError, match="no admissible steps"):
+            step_union_crosscheck(kind, 2.0, 2.0, 0, np.array([5.0 + 0j]))
+        with pytest.raises(ValueError, match="no admissible steps"):
+            filtered_grid(kind, 2.0, 2.0, 0, nx=5, ny=5)
+
+    def test_lb_below_first_admissible_step(self):
+        # alpha = 0.3 admits steps n >= 4 only
+        with pytest.raises(ValueError, match="no admissible steps"):
+            step_union_crosscheck("lb", 2.0, 0.3, 3, np.array([5.0 + 0j]))
+
+    @pytest.mark.parametrize("kind", ["frechet", "lb"])
+    def test_empty_grid_raises_value_error(self, kind):
+        with pytest.raises(ValueError, match="no sample points"):
+            step_union_crosscheck(kind, 2.0, 2.0, 10, np.array([], dtype=complex))
+
+    def test_fully_excluded_grid_raises_value_error(self):
+        # the origin lies on every circle, so a 1x1 lattice at 0 is empty
+        grid = filtered_grid("frechet", 2.0, 2.0, 10, re_range=(0.0, 0.0),
+                             im_range=(0.0, 0.0), nx=1, ny=1)
+        assert grid.size == 0
+        with pytest.raises(ValueError, match="no sample points") as info:
+            step_union_crosscheck("frechet", 2.0, 2.0, 10, grid)
+        assert not isinstance(info.value, BoundaryTooClose)
 
 
 class TestDescriptionValidation:
