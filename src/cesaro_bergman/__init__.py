@@ -37,8 +37,6 @@ from .scans import (
 )
 from .series import (
     BinomialSign,
-    CoeffOperator,
-    OperatorKind,
     TaylorTruncation,
     binomial_series_coeffs,
     cesaro_apply,

@@ -149,6 +149,19 @@ def _parse_complex(text: str) -> complex:
     return complex(s.replace("i", "j"))
 
 
+def _checked(parse, ok, expected: str):
+    """argparse type: parse the text, then reject what ok() refuses."""
+    def convert(text: str):
+        try:
+            value = parse(text)
+        except ValueError:
+            value = None
+        if value is None or not ok(value):
+            raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
+        return value
+    return convert
+
+
 def _parse_int_list(text: str) -> list[int]:
     return [int(tok) for tok in text.split(",") if tok.strip()]
 
@@ -276,9 +289,6 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
             print("cross-check applies to frechet or lb kinds", file=sys.stderr)
             return EXIT_VALIDATION
         nx, ny = args.grid
-        if nx < 1 or ny < 1:
-            print("cross-check grid needs at least 1x1 points", file=sys.stderr)
-            return EXIT_VALIDATION
         rect = args.rect
         grid = filtered_grid(args.kind, args.p, args.alpha, args.nmax,
                              re_range=(rect[0], rect[1]),
@@ -456,7 +466,7 @@ def _cmd_scan(args: argparse.Namespace) -> int:
 
 
 def _cmd_selftest(args: argparse.Namespace) -> int:
-    results = run_selftest(quick=args.quick, jobs=args.jobs)
+    results = run_selftest(quick=args.quick)
     if args.format == "json":
         record = {
             "schema": SCHEMA_VERSION,
@@ -521,16 +531,21 @@ def build_parser() -> argparse.ArgumentParser:
                         help="use the Waelbroeck spectrum (closure)")
     p_spec.add_argument("--crosscheck", action="store_true",
                         help="compare limit spectrum against step assembly")
-    p_spec.add_argument("--grid", type=lambda s: tuple(
-        int(t) for t in s.lower().split("x")), default=(100, 100),
-        help="cross-check lattice size, e.g. 100x100")
-    p_spec.add_argument("--rect", type=lambda s: tuple(
-        float(t) for t in s.split(",")), default=(-1.0, 2.0, -1.0, 1.0),
-        help="re0,re1,im0,im1 lattice bounds")
+    p_spec.add_argument("--grid", type=_checked(
+        lambda s: tuple(int(t) for t in s.lower().split("x")),
+        lambda g: len(g) == 2 and min(g) >= 1, "NxM with N, M >= 1"),
+        default=(100, 100), help="cross-check lattice size, e.g. 100x100")
+    p_spec.add_argument("--rect", type=_checked(
+        lambda s: tuple(float(t) for t in s.split(",")),
+        lambda r: (len(r) == 4 and all(map(math.isfinite, r))
+                   and r[0] <= r[1] and r[2] <= r[3]),
+        "four finite re0,re1,im0,im1 with re0 <= re1, im0 <= im1"),
+        default=(-1.0, 2.0, -1.0, 1.0), help="re0,re1,im0,im1 lattice bounds")
     p_spec.add_argument("--nmax", type=int, default=100,
                         help="number of step spaces in the assembly")
-    p_spec.add_argument("--band", type=float, default=1e-9,
-                        help="boundary exclusion band")
+    p_spec.add_argument("--band", type=_checked(
+        float, lambda b: math.isfinite(b) and b >= 0.0, "finite band >= 0"),
+        default=1e-9, help="boundary exclusion band")
     common(p_spec)
     p_spec.set_defaults(func=_cmd_spectrum)
 
@@ -569,7 +584,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_test = sub.add_parser("selftest", help="run the built-in invariant suite")
     p_test.add_argument("--quick", action="store_true",
                         help="smaller sizes, finishes in seconds")
-    p_test.add_argument("--jobs", type=int, default=1)
     p_test.add_argument("--out", default=None, help="write output to this path")
     p_test.add_argument("--format", choices=("text", "json"), default="text")
     p_test.set_defaults(func=_cmd_selftest)

@@ -110,10 +110,6 @@ _CHECKS = [
 ]
 
 
-def run_selftest(quick: bool = False, jobs: int = 1) -> list[CheckResult]:
-    """Run every invariant check; jobs > 1 runs them in a thread pool."""
-    if jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(lambda c: c(quick), _CHECKS))
+def run_selftest(quick: bool = False) -> list[CheckResult]:
+    """Run every invariant check in turn."""
     return [check(quick) for check in _CHECKS]

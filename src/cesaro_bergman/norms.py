@@ -54,11 +54,17 @@ class NonConvergedQuadrature(RuntimeError):
 
 
 def _stirling_tail(x):
-    # gammaln(x) - [(x - 1/2) ln x - x + ln(2 pi)/2] for x >= 32
+    # gammaln(x) - [(x - 1/2) ln x - x + ln(2 pi)/2] for x >= 32, evaluated
+    # in place as xi (1/12 + x2 (-1/360 + x2 (1/1260 - x2/1680)))
     xi = 1.0 / x
     x2 = xi * xi
-    return xi * (1.0 / 12.0 + x2 * (-1.0 / 360.0
-                                    + x2 * (1.0 / 1260.0 - x2 / 1680.0)))
+    t = x2 / 1680.0
+    np.subtract(1.0 / 1260.0, t, out=t)
+    for c in (-1.0 / 360.0, 1.0 / 12.0):
+        t *= x2
+        t += c
+    t *= xi
+    return t
 
 
 def log_beta(a, b):
@@ -70,24 +76,45 @@ def log_beta(a, b):
     expanded as (h-1/2) log1p(l/h) + l log(h+l) - l plus Stirling tails,
     which stays at the scale of the result.
     """
-    a_arr, b_arr = np.broadcast_arrays(np.asarray(a, dtype=float),
-                                       np.asarray(b, dtype=float))
-    lo = np.atleast_1d(np.minimum(a_arr, b_arr)).astype(float)
-    hi = np.atleast_1d(np.maximum(a_arr, b_arr)).astype(float)
+    a_arr = np.asarray(a, dtype=float)
+    b_arr = np.asarray(b, dtype=float)
+    if b_arr.ndim == 0 and a_arr.size and b_arr <= a_arr.min():
+        # every library call: a scalar b at or below every a is the smaller
+        # argument throughout, so gammaln(b) is needed once
+        shape = a_arr.shape
+        lo = b_arr[()]
+        hi = np.atleast_1d(a_arr)
+    else:
+        a_arr, b_arr = np.broadcast_arrays(a_arr, b_arr)
+        shape = a_arr.shape
+        lo = np.atleast_1d(np.minimum(a_arr, b_arr))
+        hi = np.atleast_1d(np.maximum(a_arr, b_arr))
     out = np.empty(hi.shape, dtype=float)
     small = hi < 32.0
-    if np.any(small):
-        out[small] = betaln(lo[small], hi[small])
     big = ~small
+    if np.any(small):
+        out[small] = betaln(lo if lo.ndim == 0 else lo[small], hi[small])
     if np.any(big):
         h = hi[big]
-        l = lo[big]
-        delta = ((h - 0.5) * np.log1p(l / h) + l * np.log(h + l) - l
-                 + _stirling_tail(h + l) - _stirling_tail(h))
-        out[big] = gammaln(l) - delta
+        l = lo if lo.ndim == 0 else lo[big]
+        hl = h + l
+        delta = h - 0.5
+        delta *= np.log1p(l / h)
+        delta += l * np.log(hl)
+        delta -= l
+        delta += _stirling_tail(hl)
+        delta -= _stirling_tail(h)
+        out[big] = np.subtract(gammaln(l), delta, out=delta)
     if np.isscalar(a) and np.isscalar(b):
         return float(out[0])
-    return out.reshape(a_arr.shape)
+    return out.reshape(shape)
+
+
+def _check_exponents(p: float, alpha: float) -> None:
+    if not (math.isfinite(p) and math.isfinite(alpha) and p >= 1.0
+            and alpha >= 0.0):
+        raise ValueError(
+            f"need finite p >= 1 and alpha >= 0, got p={p}, alpha={alpha}")
 
 
 def monomial_norm(j, p: float, alpha: float):
@@ -102,10 +129,7 @@ def monomial_norm(j, p: float, alpha: float):
     alpha : float
         Weight exponent, alpha >= 0.
     """
-    if p < 1.0:
-        raise ValueError("p must be >= 1")
-    if alpha < 0.0:
-        raise ValueError("alpha must be >= 0")
+    _check_exponents(p, alpha)
     jarr = np.asarray(j, dtype=float)
     if np.any(jarr < 0):
         raise ValueError("monomial degree must be >= 0")
@@ -131,6 +155,8 @@ def monomial_norm_asymptote(p: float, alpha: float) -> float:
 
 def parseval_weights(alpha: float, degree: int) -> np.ndarray:
     """Vector of squared monomial norms 2 B(2j+2, alpha+1) for j = 0..degree."""
+    if not math.isfinite(alpha):
+        raise ValueError(f"alpha must be finite, got alpha={alpha}")
     j = np.arange(degree + 1, dtype=float)
     return 2.0 * np.exp(log_beta(2.0 * j + 2.0, alpha + 1.0))
 
@@ -183,11 +209,6 @@ class DiskQuadrature:
     @property
     def radial_count(self) -> int:
         return len(self.radial_nodes)
-
-    def refined(self) -> "DiskQuadrature":
-        """Same weight, twice the radial resolution."""
-        return DiskQuadrature.build(self.alpha, 2 * self.radial_count,
-                                    self.angular_base)
 
     def total_measure(self) -> float:
         """Integral of the constant 1, equal to 2 B(2, alpha+1)."""
@@ -256,10 +277,7 @@ def norm_quadrature_with_rule(
     agreement, which signals an integrand too singular at the boundary for
     the requested tolerance.
     """
-    if p < 1.0:
-        raise ValueError("p must be >= 1")
-    if alpha < 0.0:
-        raise ValueError("alpha must be >= 0")
+    _check_exponents(p, alpha)
     coeffs = np.asarray(f.coeffs, dtype=complex)
     if quad is not None and abs(quad.alpha - alpha) > 1e-12:
         raise ValueError("quadrature was built for a different alpha")

@@ -90,9 +90,13 @@ class NormScan:
 
 
 def scan_degrees(n_max: int = DEFAULT_N_MAX, start: int = 16) -> list[int]:
-    """Powers of two from start to n_max (n_max appended if not a power)."""
-    if n_max < start:
-        raise ValueError("n_max must be >= start")
+    """Powers of two from start to n_max (n_max appended if not a power).
+
+    classify_growth needs 4 degrees, so n_max must exceed 4 * start.
+    """
+    if n_max <= 4 * start:
+        raise ValueError(f"n_max must be >= {4 * start + 1} to give the "
+                         f"classifier 4 scan degrees, got {n_max}")
     out = []
     d = start
     while d <= n_max:
@@ -302,6 +306,10 @@ def gp_nuclearity_sum(p: float, alpha: float, m: int,
     """
     if m < 2:
         raise ValueError("m must be >= 2")
+    if j_max < 128:  # the scan runs to the power of two at or below j_max
+        raise ValueError(
+            f"j_max must be >= 128 to give the classifier 4 scan degrees, "
+            f"got {j_max}")
     j = np.arange(1, j_max + 1)
     ratios = monomial_norm(j, p, alpha + 1.0) / monomial_norm(j, p, alpha + 1.0 / m)
     sums = np.cumsum(ratios)

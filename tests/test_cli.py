@@ -67,6 +67,14 @@ class TestNormCommand:
                                "-p", "3", "--alpha", "1")
         assert code == 2 and "p = 2" in err
 
+    @pytest.mark.parametrize("p, alpha", [("nan", "1"), ("inf", "1"),
+                                          ("2", "nan"), ("2", "inf")])
+    def test_monomial_nonfinite_exponents_exit_2(self, capsys, p, alpha):
+        code, out, err = run_cli(capsys, "norm", "--monomial", "-j", "2",
+                                 "-p", p, "--alpha", alpha)
+        assert code == 2 and out == ""
+        assert "finite" in err
+
     def test_bad_coeffs_file(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps([1.0, 2.0]))
@@ -140,6 +148,32 @@ class TestSpectrumCommand:
         assert code == 2 and out == ""
         assert "no sample points" in err
 
+    @pytest.mark.parametrize("grid", ["5", "5x5x5", "ax5", "5x"])
+    def test_crosscheck_grid_must_be_n_by_m(self, capsys, grid):
+        code, out, err = run_cli(capsys, "spectrum", "--kind", "frechet",
+                                 "-p", "2", "--alpha", "2", "--crosscheck",
+                                 "--grid", grid)
+        assert code == 2 and out == ""
+        assert "--grid" in err and "NxM" in err
+
+    @pytest.mark.parametrize("rect", ["nan,1,0,1", "-inf,1,0,1", "0,1,0,inf",
+                                      "0,1,0", "0,1,0,1,2", "1,0,0,1",
+                                      "0,1,1,0", "a,1,0,1"])
+    def test_crosscheck_rect_must_be_finite_and_ordered(self, capsys, rect):
+        code, out, err = run_cli(capsys, "spectrum", "--kind", "frechet",
+                                 "-p", "2", "--alpha", "2", "--crosscheck",
+                                 "--grid", "5x5", f"--rect={rect}")
+        assert code == 2 and out == ""
+        assert "--rect" in err
+
+    @pytest.mark.parametrize("band", ["-1", "nan", "inf", "x"])
+    def test_crosscheck_band_must_be_finite_nonnegative(self, capsys, band):
+        code, out, err = run_cli(capsys, "spectrum", "--kind", "frechet",
+                                 "-p", "2", "--alpha", "2", "--crosscheck",
+                                 "--grid", "5x5", "--band", band)
+        assert code == 2 and out == ""
+        assert "--band" in err
+
     def test_waelbroeck_flag_closes_boundary(self, capsys):
         code, out, _ = run_cli(capsys, "spectrum", "--kind", "frechet",
                                "-p", "2", "--alpha", "2", "--waelbroeck",
@@ -181,6 +215,12 @@ class TestScanCommand:
         assert code == 0
         record = json.loads(out)
         assert abs(record["exponent"] + 0.5) < 0.01
+
+    def test_eigen_too_short_to_classify(self, capsys):
+        code, out, err = run_cli(capsys, "scan", "eigen", "-m", "1",
+                                 "--nmax", "20")
+        assert code == 2 and out == ""
+        assert "n_max must be >= 65" in err
 
     def test_missing_args_rejected(self, capsys):
         code, _, err = run_cli(capsys, "scan", "counterexample", "-p", "2",

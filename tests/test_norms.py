@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.special import betaln, gammaln
 
 from cesaro_bergman.norms import (
     DiskQuadrature,
@@ -15,6 +18,8 @@ from cesaro_bergman.norms import (
     monomial_norm_quadratic_weight,
     norm_parseval,
     norm_quadrature,
+    norm_quadrature_with_rule,
+    parseval_weights,
     seminorm_family,
 )
 from cesaro_bergman.series import BinomialSign, TaylorTruncation, binomial_series_coeffs
@@ -22,6 +27,74 @@ from cesaro_bergman.series import BinomialSign, TaylorTruncation, binomial_serie
 
 def trunc(seq):
     return TaylorTruncation(np.asarray(seq, dtype=complex))
+
+
+def _oracle_stirling_tail(x):
+    xi = 1.0 / x
+    x2 = xi * xi
+    return xi * (1.0 / 12.0 + x2 * (-1.0 / 360.0
+                                    + x2 * (1.0 / 1260.0 - x2 / 1680.0)))
+
+
+def oracle_log_beta(a, b):
+    # the straightforward log_beta, one temporary per operation; the library
+    # version must agree with it bit for bit
+    a_arr, b_arr = np.broadcast_arrays(np.asarray(a, dtype=float),
+                                       np.asarray(b, dtype=float))
+    lo = np.atleast_1d(np.minimum(a_arr, b_arr)).astype(float)
+    hi = np.atleast_1d(np.maximum(a_arr, b_arr)).astype(float)
+    out = np.empty(hi.shape, dtype=float)
+    small = hi < 32.0
+    if np.any(small):
+        out[small] = betaln(lo[small], hi[small])
+    big = ~small
+    if np.any(big):
+        h = hi[big]
+        l = lo[big]
+        delta = ((h - 0.5) * np.log1p(l / h) + l * np.log(h + l) - l
+                 + _oracle_stirling_tail(h + l) - _oracle_stirling_tail(h))
+        out[big] = gammaln(l) - delta
+    if np.isscalar(a) and np.isscalar(b):
+        return float(out[0])
+    return out.reshape(a_arr.shape)
+
+
+# positive arguments on both sides of the hi < 32 cutover, up to 1e7
+_beta_args = st.one_of(
+    st.floats(0.01, 64.0),
+    st.floats(31.0, 33.0),
+    st.floats(1.0, 1e7),
+)
+
+
+class TestLogBetaOracle:
+    @settings(max_examples=200, deadline=None)
+    @given(a=st.lists(_beta_args, min_size=1, max_size=40),
+           b=_beta_args, b_array=st.booleans(), swap=st.booleans())
+    def test_bit_identical(self, a, b, b_array, swap):
+        a = np.array(a)
+        b = np.full(len(a), b) if b_array else b
+        args = (b, a) if swap else (a, b)
+        assert np.array_equal(log_beta(*args), oracle_log_beta(*args))
+
+    @settings(max_examples=100, deadline=None)
+    @given(a=_beta_args, b=_beta_args)
+    def test_scalars(self, a, b):
+        got = log_beta(a, b)
+        assert isinstance(got, float) and got == oracle_log_beta(a, b)
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0, 2.3, 7.0, 40.0])
+    def test_parseval_and_monomial_arguments(self, alpha):
+        j = np.arange(1 << 16, dtype=float)
+        for a in (2.0 * j + 2.0, 1.5 * j + 2.0, 3.7 * j + 2.0):
+            assert np.array_equal(log_beta(a, alpha + 1.0),
+                                  oracle_log_beta(a, alpha + 1.0))
+
+    def test_shapes(self):
+        a = np.linspace(1.0, 90.0, 12).reshape(3, 4)
+        assert np.array_equal(log_beta(a, 2.0), oracle_log_beta(a, 2.0))
+        assert np.array_equal(log_beta(a, a.T[:1].T), oracle_log_beta(a, a.T[:1].T))
+        assert log_beta(np.array(40.0), 3.0).shape == ()
 
 
 class TestMonomialNorm:
@@ -59,6 +132,17 @@ class TestMonomialNorm:
             monomial_norm(0, 0.5, 1.0)
         with pytest.raises(ValueError):
             monomial_norm(-1, 2.0, 1.0)
+
+    @pytest.mark.parametrize("p, alpha", [(math.nan, 1.0), (math.inf, 1.0),
+                                          (2.0, math.nan), (2.0, math.inf)])
+    def test_nonfinite_exponents_rejected(self, p, alpha):
+        with pytest.raises(ValueError, match="finite"):
+            monomial_norm(2, p, alpha)
+        with pytest.raises(ValueError, match="finite"):
+            norm_quadrature_with_rule(trunc([1, 1]), p, alpha)
+        if not math.isfinite(alpha):
+            with pytest.raises(ValueError, match="finite"):
+                parseval_weights(alpha, 10)
 
 
 class TestParseval:

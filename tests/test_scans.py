@@ -108,6 +108,19 @@ class TestEigenScan:
         with pytest.raises(ValueError):
             eigen_membership_scan(0, 2.0, 1.0)
 
+    def test_too_short_to_classify(self):
+        # n_max = 64 gives the degrees 16, 32, 64: one short of the four the
+        # classifier needs; 65 adds a fourth
+        with pytest.raises(ValueError, match="n_max must be >= 65"):
+            eigen_membership_scan(1, 2.0, 1.0, n_max=64)
+        assert len(eigen_membership_scan(1, 2.0, 1.0, n_max=65).degrees) == 4
+        with pytest.raises(ValueError, match="n_max must be >= 65"):
+            counterexample_blowup(2.0, 1.0, 0.4, "frechet", n_max_degree=40)
+        f = eigenfunction_truncation(1, 128)
+        with pytest.raises(ValueError, match="n_max must be >= 65"):
+            schauder_partial_sum_check(
+                f, SpaceSpec(2.0, 1.0, SpaceKind.FRECHET_INTERSECTION), 64)
+
 
 class TestCounterexample:
     def test_frechet_case(self):
@@ -156,6 +169,11 @@ class TestGrothendieckPietsch:
     def test_m_validation(self):
         with pytest.raises(ValueError):
             gp_nuclearity_sum(2.0, 1.0, 1)
+
+    def test_too_short_to_classify(self):
+        with pytest.raises(ValueError, match="j_max must be >= 128"):
+            gp_nuclearity_sum(2.0, 1.0, 2, j_max=127)
+        assert len(gp_nuclearity_sum(2.0, 1.0, 2, j_max=128).degrees) == 4
 
 
 class TestSchauder:

@@ -5,8 +5,6 @@ import pytest
 
 from cesaro_bergman.series import (
     BinomialSign,
-    CoeffOperator,
-    OperatorKind,
     TaylorTruncation,
     binomial_series_coeffs,
     cesaro_apply,
@@ -18,6 +16,13 @@ from cesaro_bergman.series import (
     multiply_by_z,
     recover_from_cesaro,
 )
+
+
+BIG = 1 << 20
+# every index below 300, 800 log-spaced ones above it, and 2^20 itself
+SAMPLE = np.unique(np.concatenate(
+    [np.arange(300), np.geomspace(300, BIG, 800).astype(int), [BIG]]))
+BINOMIAL_REL_TOL = 5e-11
 
 
 def trunc(seq):
@@ -119,11 +124,6 @@ class TestBuildingBlocks:
         got = multiply_by_one_minus_z(trunc([1, 1, 1]))
         assert np.allclose(got.coeffs, [1, 0, 0, -1])
 
-    def test_operator_dispatch(self):
-        f = trunc([1, 2, 3])
-        op = CoeffOperator(OperatorKind.CESARO)
-        assert np.allclose(op.apply(f).coeffs, cesaro_apply(f).coeffs)
-
 
 class TestBinomialSeries:
     def test_geometric(self):
@@ -141,6 +141,53 @@ class TestBinomialSeries:
         got = binomial_series_coeffs(2.0, BinomialSign.MINUS_Z, 4)
         assert np.allclose(got.coeffs, oracle.coeffs)
         assert np.allclose(got.coeffs, [1, 2, 3, 4, 5])
+
+    def test_geometric_is_exact_to_2_20(self):
+        c = binomial_series_coeffs(1.0, BinomialSign.MINUS_Z, BIG).coeffs
+        assert np.all(c == 1.0)
+        alt = binomial_series_coeffs(1.0, BinomialSign.PLUS_Z, BIG).coeffs
+        assert np.all(alt.real == np.where(np.arange(BIG + 1) % 2, -1.0, 1.0))
+        assert np.all(alt.imag == 0.0)
+
+    @pytest.mark.parametrize("s", [1, 2, 17, 40])
+    def test_integer_exponent_against_comb(self, s):
+        # (1-z)^(-s) has coefficients C(k + s - 1, k)
+        c = binomial_series_coeffs(float(s), BinomialSign.MINUS_Z, BIG).coeffs
+        ref = np.array([float(math.comb(int(k) + s - 1, int(k)))
+                        for k in SAMPLE])
+        assert np.max(np.abs(c[SAMPLE] - ref) / ref) <= BINOMIAL_REL_TOL
+
+    @pytest.mark.parametrize("s", [0.05, 0.4, 1.3777, 2.5, 3.1])
+    @pytest.mark.parametrize("sign", list(BinomialSign))
+    def test_fractional_exponent_against_mpmath(self, s, sign):
+        mpmath = pytest.importorskip("mpmath")
+        c = binomial_series_coeffs(s, sign, BIG).coeffs
+        flip = -1 if sign is BinomialSign.PLUS_Z else 1
+        with mpmath.workdps(30):
+            ref = np.array([float(flip ** int(k) * mpmath.rf(s, int(k))
+                                  / mpmath.factorial(int(k)))
+                            for k in SAMPLE])
+        assert np.all(c.imag == 0.0)
+        assert np.max(np.abs(c.real[SAMPLE] - ref) / np.abs(ref)) <= BINOMIAL_REL_TOL
+
+    @pytest.mark.parametrize("s", [0.4, 1.0, 2.5, 17.0])
+    @pytest.mark.parametrize("sign", list(BinomialSign))
+    def test_matches_ratio_loop(self, s, sign):
+        # the element-by-element ratio recurrence, in complex arithmetic
+        n = 2000
+        flip = -1.0 if sign is BinomialSign.PLUS_Z else 1.0
+        ref = np.empty(n + 1, dtype=complex)
+        ref[0] = 1.0
+        for k in range(n):
+            ref[k + 1] = ref[k] * flip * (s + k) / (k + 1)
+        got = binomial_series_coeffs(s, sign, n).coeffs
+        # both sides round once per factor: 2 n ulps bound their distance
+        assert np.max(np.abs(got - ref) / np.abs(ref)) <= 2 * n * 2.3e-16
+
+    def test_eigenfunction_matches_binomial(self):
+        f = eigenfunction_truncation(4, 1000).coeffs
+        tail = binomial_series_coeffs(4.0, BinomialSign.MINUS_Z, 997).coeffs
+        assert np.all(f[:3] == 0.0) and np.array_equal(f[3:], tail)
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), 0.0, -1.0])
     def test_rejects_bad_exponent(self, bad):
