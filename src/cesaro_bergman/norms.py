@@ -184,10 +184,10 @@ class DiskQuadrature:
     """Tensor rule for int_D |f|^p (1-|z|)^alpha dA / pi.
 
     radial_nodes/radial_weights absorb the weight (1-r)^alpha r on [0, 1];
-    angular_base is the minimum uniform angular grid size (the effective
-    angular count is graded per radial node so that polynomial integrands at
-    even p are alias-free); rel_error_estimate is filled in by the adaptive
-    driver.
+    angular_base is the minimum uniform angular grid size.  Per radial node
+    the angular size is a power of two >= p * eff / 2 + 1 at even p (alias
+    bound: exact for |f|^p) and >= 4 p (eff + 1) at every other p, with eff
+    the effective degree there; rel_error_estimate is set by the driver.
     """
 
     alpha: float
@@ -210,54 +210,51 @@ class DiskQuadrature:
     def radial_count(self) -> int:
         return len(self.radial_nodes)
 
-    def total_measure(self) -> float:
-        """Integral of the constant 1, equal to 2 B(2, alpha+1)."""
-        return 2.0 * float(np.sum(self.radial_weights))
 
-
-# angular safety factor: T >= _ANGULAR_FACTOR * p * (effective degree + 1),
-# which exceeds the 2 p N alias bound for polynomial integrands at even p
+# angular sizes, powers of two >= angular_base: T >= p * eff / 2 + 1 at even
+# p, where the trapezoid rule is exact for |f|^p = |f^{p/2}|^2 of degree
+# p * eff / 2, and T >= _ANGULAR_FACTOR * p * (eff + 1) at every other p
 _ANGULAR_FACTOR = 4.0
 # per-node coefficient cutoff relative to the largest scaled coefficient;
 # dropped terms perturb f by < 1e-16 of the attained norm scale
-_SCALED_CUTOFF = 1e-20
+_LOG_CUTOFF = math.log(1e-20)
 _BATCH_ELEMENTS = 1 << 22
 
 
 def _pnorm_single_pass(coeffs: np.ndarray, p: float, quad: DiskQuadrature) -> float:
-    r = quad.radial_nodes
-    w = quad.radial_weights
-    n = len(coeffs) - 1
-    js = np.arange(n + 1, dtype=float)
-    absc = np.abs(coeffs)
-    logr = np.log(r)
-    count = len(r)
-    eff_deg = np.empty(count, dtype=int)
-    ang = np.empty(count, dtype=int)
-    for i in range(count):
-        scaled = absc * np.exp(js * logr[i])
-        top = scaled.max()
-        if top == 0.0:
-            eff_deg[i] = 0
-            ang[i] = quad.angular_base
-            continue
-        keep = np.nonzero(scaled > _SCALED_CUTOFF * top)[0]
-        eff_deg[i] = int(keep[-1])
-        need = _ANGULAR_FACTOR * p * (eff_deg[i] + 1)
-        ang[i] = 1 << max(int(math.ceil(math.log2(max(need, 2.0)))),
-                          int(math.log2(quad.angular_base)))
+    logr = np.log(quad.radial_nodes)
+    js = np.arange(len(coeffs), dtype=float)
+    with np.errstate(divide="ignore"):
+        logc = np.log(np.abs(coeffs))
+    # effective degree per node: the last j with log|c_j| + j log r > max + cut
+    eff = np.empty(len(logr), dtype=int)
+    rows = max(1, _BATCH_ELEMENTS // len(js))
+    for k in range(0, len(logr), rows):
+        scaled = np.outer(logr[k:k + rows], js)
+        scaled += logc
+        keep = scaled > scaled.max(axis=1, keepdims=True) + _LOG_CUTOFF
+        eff[k:k + rows] = len(js) - 1 - np.argmax(keep[:, ::-1], axis=1)
+    need = (p * eff / 2.0 + 1.0 if p % 2.0 == 0.0
+            else _ANGULAR_FACTOR * p * (eff + 1.0))
+    ang = 1 << np.maximum(np.ceil(np.log2(need)),
+                          math.floor(math.log2(quad.angular_base))).astype(int)
+    real = not np.any(coeffs.imag)
+    coeffs = coeffs.real if real else coeffs
     total = 0.0
-    for t in np.unique(ang):
+    for t in np.unique(ang).tolist():
         idx = np.nonzero(ang == t)[0]
-        batch = max(1, _BATCH_ELEMENTS // int(t))
+        # rfft bins 1..t/2-1 of a real block stand for their conjugates too
+        mean = np.full(t // 2 + 1 if real else t, (1.0 + real) / t)
+        mean[[0, -1]] = 1.0 / t
+        batch = max(1, _BATCH_ELEMENTS // t)
         for k in range(0, len(idx), batch):
             sel = idx[k:k + batch]
-            jtop = int(eff_deg[sel].max())
-            block = coeffs[None, : jtop + 1] * np.exp(
+            jtop = int(eff[sel].max())
+            block = coeffs[: jtop + 1] * np.exp(
                 np.outer(logr[sel], js[: jtop + 1]))
-            vals = _fft.fft(block, n=int(t), axis=1, workers=-1)
-            means = np.mean(np.abs(vals) ** p, axis=1)
-            total += float(np.dot(w[sel], means))
+            vals = np.abs((_fft.rfft if real else _fft.fft)(block, n=t, axis=1))
+            vals **= p
+            total += float(np.dot(quad.radial_weights[sel], vals @ mean))
     return (2.0 * total) ** (1.0 / p)
 
 
@@ -426,6 +423,8 @@ def inclusion_ratio_scan(p: float, mu: float, gamma: float,
     witness that the inclusion is compact (at p = 2 it acts diagonally with
     entries d_j).
     """
+    _check_exponents(p, mu)
+    _check_exponents(p, gamma)
     if not (0.0 < mu < gamma):
         raise ValueError("need 0 < mu < gamma")
     if j_max < 8:

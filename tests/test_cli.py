@@ -216,6 +216,16 @@ class TestScanCommand:
         record = json.loads(out)
         assert abs(record["exponent"] + 0.5) < 0.01
 
+    @pytest.mark.parametrize("flag, value", [("-p", "nan"),
+                                             ("--gamma", "inf")])
+    def test_inclusion_nonfinite_exponents_exit_2(self, capsys, flag, value):
+        argv = {"-p": "2", "--mu": "1", "--gamma": "2"}
+        argv[flag] = value
+        code, out, err = run_cli(capsys, "scan", "inclusion",
+                                 *(x for kv in argv.items() for x in kv))
+        assert code == 2 and out == ""
+        assert "finite" in err
+
     def test_eigen_too_short_to_classify(self, capsys):
         code, out, err = run_cli(capsys, "scan", "eigen", "-m", "1",
                                  "--nmax", "20")

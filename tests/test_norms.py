@@ -1,11 +1,14 @@
 import math
+import types
 
 import numpy as np
 import pytest
+import scipy.fft
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import betaln, gammaln
 
+from cesaro_bergman import norms
 from cesaro_bergman.norms import (
     DiskQuadrature,
     NonConvergedQuadrature,
@@ -95,6 +98,101 @@ class TestLogBetaOracle:
         assert np.array_equal(log_beta(a, 2.0), oracle_log_beta(a, 2.0))
         assert np.array_equal(log_beta(a, a.T[:1].T), oracle_log_beta(a, a.T[:1].T))
         assert log_beta(np.array(40.0), 3.0).shape == ()
+
+
+def oracle_pnorm_single_pass(coeffs, p, quad):
+    # the per-node loop: grading by linear-scale cutoff, complex FFTs at
+    # T >= 4 p (eff + 1) for every p; the library pass must agree with it to
+    # rounding
+    r = quad.radial_nodes
+    w = quad.radial_weights
+    n = len(coeffs) - 1
+    js = np.arange(n + 1, dtype=float)
+    absc = np.abs(coeffs)
+    logr = np.log(r)
+    count = len(r)
+    eff_deg = np.empty(count, dtype=int)
+    ang = np.empty(count, dtype=int)
+    for i in range(count):
+        scaled = absc * np.exp(js * logr[i])
+        top = scaled.max()
+        if top == 0.0:
+            eff_deg[i] = 0
+            ang[i] = quad.angular_base
+            continue
+        keep = np.nonzero(scaled > 1e-20 * top)[0]
+        eff_deg[i] = int(keep[-1])
+        need = 4.0 * p * (eff_deg[i] + 1)
+        ang[i] = 1 << max(int(math.ceil(math.log2(max(need, 2.0)))),
+                          int(math.log2(quad.angular_base)))
+    total = 0.0
+    for t in np.unique(ang):
+        idx = np.nonzero(ang == t)[0]
+        batch = max(1, (1 << 22) // int(t))
+        for k in range(0, len(idx), batch):
+            sel = idx[k:k + batch]
+            jtop = int(eff_deg[sel].max())
+            block = coeffs[None, : jtop + 1] * np.exp(
+                np.outer(logr[sel], js[: jtop + 1]))
+            vals = scipy.fft.fft(block, n=int(t), axis=1)
+            means = np.mean(np.abs(vals) ** p, axis=1)
+            total += float(np.dot(w[sel], means))
+    return (2.0 * total) ** (1.0 / p)
+
+
+# coefficients in [-1, 1] on a 1e-3 lattice, often exactly zero
+_coeff = st.one_of(st.just(0.0),
+                   st.integers(-1000, 1000).map(lambda k: k / 1000.0))
+
+
+class TestSinglePassOracle:
+    @settings(max_examples=60, deadline=None)
+    @given(re=st.lists(_coeff, min_size=1, max_size=301), data=st.data(),
+           trailing=st.integers(0, 20), complex_=st.booleans(),
+           decay=st.sampled_from([1.0, 0.9, 0.5, 0.1]),
+           p=st.sampled_from([1.1, 1.5, 2.0, 3.0, 4.0, 6.0]),
+           radial=st.sampled_from([2, 8, 64, 128]),
+           alpha=st.sampled_from([0.0, 1.0, 3.5]))
+    def test_matches_per_node_loop(self, re, data, trailing, complex_, decay,
+                                   p, radial, alpha):
+        coeffs = np.array(re[: 301 - trailing] + [0.0] * trailing,
+                          dtype=complex)
+        if complex_:
+            coeffs += 1j * np.array(data.draw(st.lists(
+                _coeff, min_size=len(coeffs), max_size=len(coeffs))))
+        # geometric decay spreads the coefficients over up to 300 decades, so
+        # that the per-node cutoff drops terms
+        coeffs *= decay ** np.arange(len(coeffs))
+        quad = DiskQuadrature.build(alpha, radial)
+        got = norms._pnorm_single_pass(coeffs, p, quad)
+        want = oracle_pnorm_single_pass(coeffs, p, quad)
+        assert got == pytest.approx(want, rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("zeros", [(0.5, -0.6, 0.2),
+                                       (0.5, -0.3j, 0.7 + 0.1j)])
+    def test_even_p_minimal_grid_is_exact(self, zeros, monkeypatch):
+        # ||f||_{4,alpha}^4 = ||f^2||_{2,alpha}^2, with f vanishing inside
+        # the disk; at degree 3 the bound p * eff / 2 + 1 = 7 gives T = 8
+        coeffs = np.array([1.0 + 0j])
+        for z0 in zeros:
+            coeffs = np.convolve(coeffs, [-z0, 1.0])
+        sizes = []
+
+        def recorded(transform):
+            def run(x, n, axis):
+                sizes.append(n)
+                return transform(x, n=n, axis=axis)
+            return run
+
+        monkeypatch.setattr(norms, "_fft", types.SimpleNamespace(
+            fft=recorded(scipy.fft.fft), rfft=recorded(scipy.fft.rfft)))
+        for alpha in (0.0, 1.0, 2.5):
+            quad = DiskQuadrature.build(alpha, 16, angular_base=2)
+            got = norms._pnorm_single_pass(coeffs, 4.0, quad)
+            want = math.sqrt(norm_parseval(
+                TaylorTruncation(np.convolve(coeffs, coeffs)), alpha))
+            assert got == pytest.approx(want, rel=1e-12)
+        assert max(sizes) == 8
 
 
 class TestMonomialNorm:
@@ -192,7 +290,9 @@ class TestQuadrature:
         for alpha in (0.0, 0.5, 1.0, 2.0, 3.5):
             quad = DiskQuadrature.build(alpha, radial_count=64)
             expect = 2.0 * math.exp(log_beta(2.0, alpha + 1.0))
-            assert abs(quad.total_measure() - expect) / expect < 1e-12
+            # the rule integrates the constant 1 to 2 B(2, alpha+1)
+            total = 2.0 * float(np.sum(quad.radial_weights))
+            assert abs(total - expect) / expect < 1e-12
 
     def test_nonconvergence_raises(self):
         s = (2.0 + 1.0 - 0.5) / 2.0
