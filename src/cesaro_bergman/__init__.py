@@ -12,14 +12,12 @@ from .norms import (
     DiskQuadrature,
     InclusionScan,
     NonConvergedQuadrature,
-    SeminormEntry,
     SpaceKind,
     SpaceSpec,
     inclusion_ratio_scan,
     monomial_norm,
     norm_parseval,
     norm_quadrature,
-    seminorm_family,
 )
 from .scans import (
     CounterexampleReport,
@@ -28,12 +26,15 @@ from .scans import (
     InvalidEpsilon,
     NormScan,
     SchauderReport,
+    SeminormEntry,
     classify_growth,
     counterexample_blowup,
     eigen_membership_scan,
     expected_eigen_membership,
     gp_nuclearity_sum,
     schauder_partial_sum_check,
+    seminorm_family,
+    truncation_norms,
 )
 from .series import (
     BinomialSign,
@@ -53,10 +54,8 @@ from .spectra import (
     DiskBoundary,
     Membership,
     SpectralDescription,
-    banach_spectrum,
     filtered_grid,
-    frechet_spectrum,
-    lb_spectrum,
+    spectrum,
     step_union_crosscheck,
     waelbroeck,
 )

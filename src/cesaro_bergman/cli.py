@@ -27,7 +27,6 @@ from .norms import (
     monomial_norm_asymptote,
     norm_parseval,
     norm_quadrature,
-    seminorm_family,
 )
 from .scans import (
     DEFAULT_N_MAX,
@@ -39,6 +38,7 @@ from .scans import (
     expected_eigen_membership,
     gp_nuclearity_sum,
     schauder_partial_sum_check,
+    seminorm_family,
 )
 from .series import (
     BinomialSign,
@@ -48,10 +48,8 @@ from .series import (
 )
 from .spectra import (
     BoundaryTooClose,
-    banach_spectrum,
     filtered_grid,
-    frechet_spectrum,
-    lb_spectrum,
+    spectrum,
     step_union_crosscheck,
     waelbroeck,
 )
@@ -104,6 +102,12 @@ def _write_output(text: str, out_path: str | None) -> None:
         Path(out_path).write_text(text + "\n", encoding="utf-8")
     else:
         sys.stdout.write(text + "\n")
+
+
+def _write_record(command: str, fields: dict, out_path: str | None) -> None:
+    """One JSON record: the schema version and command, then the fields."""
+    _write_output(dumps_json({"schema": SCHEMA_VERSION, "command": command,
+                              **fields}), out_path)
 
 
 def _csv_rows(rows: list[tuple], header: tuple[str, ...]) -> str:
@@ -175,7 +179,10 @@ def _load_coeffs(path: str) -> TaylorTruncation:
         if not (isinstance(entry, list) and len(entry) == 2):
             raise ValueError("coefficient entries must be [re, im] pairs")
         coeffs.append(complex(float(entry[0]), float(entry[1])))
-    return TaylorTruncation(np.array(coeffs, dtype=complex))
+    arr = np.array(coeffs, dtype=complex)
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("coefficients must be finite")
+    return TaylorTruncation(arr)
 
 
 # ---------------------------------------------------------------------------
@@ -189,8 +196,6 @@ def _cmd_norm(args: argparse.Namespace) -> int:
             return EXIT_VALIDATION
         value = monomial_norm(args.index, args.p, args.alpha)
         record = {
-            "schema": SCHEMA_VERSION,
-            "command": "norm",
             "mode": "monomial",
             "j": args.index,
             "p": args.p,
@@ -205,7 +210,7 @@ def _cmd_norm(args: argparse.Namespace) -> int:
                 "limit": limit,
                 "rel_gap": abs(scaled - limit) / limit,
             }
-        _write_output(dumps_json(record), args.out)
+        _write_record("norm", record, args.out)
         return EXIT_OK
     if args.coeffs_file is None:
         print("this norm mode requires --coeffs-file", file=sys.stderr)
@@ -216,20 +221,16 @@ def _cmd_norm(args: argparse.Namespace) -> int:
             print("norm --parseval is defined for p = 2 only", file=sys.stderr)
             return EXIT_VALIDATION
         record = {
-            "schema": SCHEMA_VERSION,
-            "command": "norm",
             "mode": "parseval",
             "alpha": args.alpha,
             "degree": f.degree,
             "value": norm_parseval(f, args.alpha),
         }
-        _write_output(dumps_json(record), args.out)
+        _write_record("norm", record, args.out)
         return EXIT_OK
     if args.quadrature:
         value = norm_quadrature(f, args.p, args.alpha, rel_tol=args.rel_tol)
         record = {
-            "schema": SCHEMA_VERSION,
-            "command": "norm",
             "mode": "quadrature",
             "p": args.p,
             "alpha": args.alpha,
@@ -237,7 +238,7 @@ def _cmd_norm(args: argparse.Namespace) -> int:
             "rel_tol": args.rel_tol,
             "value": value,
         }
-        _write_output(dumps_json(record), args.out)
+        _write_record("norm", record, args.out)
         return EXIT_OK
     # seminorm family
     spec = SpaceSpec(args.p, args.alpha, SpaceKind(args.family))
@@ -247,28 +248,18 @@ def _cmd_norm(args: argparse.Namespace) -> int:
         _write_output(_csv_rows(rows, ("n", "alpha", "value")), args.out)
         return EXIT_OK
     record = {
-        "schema": SCHEMA_VERSION,
-        "command": "norm",
         "mode": "family",
         "kind": args.family,
         "p": args.p,
         "alpha": args.alpha,
         "n_max": args.nmax_steps,
         "entries": [
-            {"n": e.n, "alpha": e.alpha,
-             "value": e.value if e.ok else float("nan"), "ok": e.ok}
+            {"n": e.n, "alpha": e.alpha, "value": e.value, "ok": e.ok}
             for e in entries
         ],
     }
-    _write_output(dumps_json(record), args.out)
+    _write_record("norm", record, args.out)
     return EXIT_OK
-
-
-_SPECTRUM_BUILDERS = {
-    "banach": banach_spectrum,
-    "frechet": frechet_spectrum,
-    "lb": lb_spectrum,
-}
 
 
 def _describe_record(desc) -> dict:
@@ -297,8 +288,6 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
         report = step_union_crosscheck(args.kind, args.p, args.alpha,
                                        args.nmax, grid, band=args.band)
         record = {
-            "schema": SCHEMA_VERSION,
-            "command": "spectrum",
             "mode": "crosscheck",
             "kind": args.kind,
             "p": args.p,
@@ -311,14 +300,12 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
             "n_excluded": nx * ny - report.n_checked,
             "disagreements": [[z.real, z.imag] for z in report.disagreements],
         }
-        _write_output(dumps_json(record), args.out)
+        _write_record("spectrum", record, args.out)
         return EXIT_OK if report.ok else EXIT_CROSSCHECK
-    desc = _SPECTRUM_BUILDERS[args.kind](args.p, args.alpha)
+    desc = spectrum(SpaceSpec(args.p, args.alpha, SpaceKind(args.kind)))
     if args.waelbroeck:
         desc = waelbroeck(desc)
     record = {
-        "schema": SCHEMA_VERSION,
-        "command": "spectrum",
         "mode": "membership" if args.lam else "describe",
         "kind": args.kind,
         "p": args.p,
@@ -331,135 +318,122 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
             {"lambda": [z.real, z.imag], "verdict": desc.membership(z).value}
             for z in map(_parse_complex, args.lam)
         ]
-    _write_output(dumps_json(record), args.out)
+    _write_record("spectrum", record, args.out)
     return EXIT_OK
 
 
-def _scan_strict_failed(*scan_objs: NormScan) -> bool:
-    return any(s.classification.kind is GrowthKind.UNDETERMINED
-               for s in scan_objs)
+# Each scan target returns its record fields, its CSV rows and header, and
+# the scans that --strict checks.
+
+def _scan_eigen(args: argparse.Namespace):
+    ms = args.m_list if args.m_list else [args.m]
+    if args.jobs > 1 and len(ms) > 1:
+        from concurrent.futures import ThreadPoolExecutor
+        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
+            scans = list(pool.map(
+                lambda m: eigen_membership_scan(m, args.p, args.alpha,
+                                                args.nmax), ms))
+    else:
+        scans = [eigen_membership_scan(m, args.p, args.alpha, args.nmax)
+                 for m in ms]
+    results = [dict(m=m, expected_member=expected_eigen_membership(
+                        m, args.p, args.alpha), **_scan_record(scan))
+               for m, scan in zip(ms, scans)]
+    fields = {"p": args.p, "alpha": args.alpha, "n_max": args.nmax,
+              "results": results}
+    rows = [(m, d, v) for m, s in zip(ms, scans)
+            for d, v in zip(s.degrees, s.values)]
+    return fields, rows, ("m", "degree", "value"), scans
+
+
+def _scan_counterexample(args: argparse.Namespace):
+    steps = _parse_int_list(args.steps) if args.steps else None
+    report = counterexample_blowup(args.p, args.alpha, args.epsilon,
+                                   args.kind, args.nmax, steps=steps)
+    fields = {
+        "kind": args.kind, "p": args.p, "alpha": args.alpha,
+        "epsilon": args.epsilon,
+        "source_exponent": report.source_exponent,
+        "home_step": report.home_step,
+        "source": _scan_record(report.source_scan),
+        "inverse": [dict(step=n, **_scan_record(s))
+                    for n, s in report.inverse_scans],
+    }
+    series = [("source", report.home_step, report.source_scan)]
+    series += [("inverse", n, s) for n, s in report.inverse_scans]
+    rows = [(name, n, d, v) for name, n, s in series
+            for d, v in zip(s.degrees, s.values)]
+    return (fields, rows, ("series", "step", "degree", "value"),
+            [s for _, _, s in series])
+
+
+def _scan_gp(args: argparse.Namespace):
+    scan = gp_nuclearity_sum(args.p, args.alpha, args.m, args.jmax)
+    fields = {"p": args.p, "alpha": args.alpha, "m": args.m,
+              "j_max": args.jmax,
+              "expected_exponent": 1.0 - (1.0 - 1.0 / args.m) / args.p,
+              **_scan_record(scan)}
+    rows = list(zip(scan.degrees, scan.values))
+    return fields, rows, ("degree", "value"), [scan]
+
+
+def _scan_inclusion(args: argparse.Namespace):
+    result = inclusion_ratio_scan(args.p, args.mu, args.gamma, args.jmax)
+    subsample = [d for d in (2 ** k for k in range(0, 30)) if d <= args.jmax]
+    fields = {
+        "p": args.p, "mu": args.mu, "gamma": args.gamma,
+        "j_max": args.jmax,
+        "exponent": result.exponent,
+        "r_squared": result.r_squared,
+        "expected_exponent": -(args.gamma - args.mu) / args.p,
+        "degrees": subsample,
+        "ratios": [float(result.ratios[d - 1]) for d in subsample],
+    }
+    rows = list(zip(result.degrees.tolist(), result.ratios.tolist()))
+    return fields, rows, ("degree", "value"), []
+
+
+def _scan_schauder(args: argparse.Namespace):
+    top = 2 * args.nmax
+    if args.function == "constant":
+        coeffs = np.zeros(top + 1, dtype=complex)
+        coeffs[0] = 1.0
+        f = TaylorTruncation(coeffs)
+    elif args.function == "eigenfunction":
+        f = eigenfunction_truncation(args.m, top)
+    else:  # binomial-plus
+        f = binomial_series_coeffs(args.exponent, BinomialSign.PLUS_Z, top)
+    spec = SpaceSpec(args.p, args.alpha, SpaceKind(args.kind))
+    report = schauder_partial_sum_check(
+        f, spec, args.nmax, steps=tuple(_parse_int_list(args.basis_steps)))
+    fields = {
+        "kind": args.kind, "p": args.p, "alpha": args.alpha,
+        "function": args.function, "n_big": report.n_big,
+        "tails": [dict(step=n, **_scan_record(s)) for n, s in report.tails],
+    }
+    rows = [("tail", n, d, v) for n, s in report.tails
+            for d, v in zip(s.degrees, s.values)]
+    return (fields, rows, ("series", "step", "degree", "value"),
+            [s for _, s in report.tails])
+
+
+_SCAN_TARGETS = {
+    "eigen": _scan_eigen,
+    "counterexample": _scan_counterexample,
+    "gp": _scan_gp,
+    "inclusion": _scan_inclusion,
+    "schauder": _scan_schauder,
+}
 
 
 def _cmd_scan(args: argparse.Namespace) -> int:
-    record: dict = {"schema": SCHEMA_VERSION, "command": "scan",
-                    "target": args.target}
-    csv_payload: str | None = None
-    strict_failed = False
-    if args.target == "eigen":
-        ms = args.m_list if args.m_list else [args.m]
-        if any(m is None for m in ms):
-            print("scan eigen requires -m or --m-list", file=sys.stderr)
-            return EXIT_VALIDATION
-        results = []
-        if args.jobs > 1 and len(ms) > 1:
-            from concurrent.futures import ThreadPoolExecutor
-            with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-                scans_out = list(pool.map(
-                    lambda m: eigen_membership_scan(m, args.p, args.alpha,
-                                                    args.nmax), ms))
-        else:
-            scans_out = [eigen_membership_scan(m, args.p, args.alpha, args.nmax)
-                         for m in ms]
-        for m, scan in zip(ms, scans_out):
-            entry = {"m": m,
-                     "expected_member": expected_eigen_membership(
-                         m, args.p, args.alpha)}
-            entry.update(_scan_record(scan))
-            results.append(entry)
-        strict_failed = _scan_strict_failed(*scans_out)
-        record.update({"p": args.p, "alpha": args.alpha, "n_max": args.nmax,
-                       "results": results})
-        if args.format == "csv":
-            rows = [(m, d, v) for m, s in zip(ms, scans_out)
-                    for d, v in zip(s.degrees, s.values)]
-            csv_payload = _csv_rows(rows, ("m", "degree", "value"))
-    elif args.target == "counterexample":
-        steps = _parse_int_list(args.steps) if args.steps else None
-        report = counterexample_blowup(args.p, args.alpha, args.epsilon,
-                                       args.kind, args.nmax, steps=steps)
-        record.update({
-            "kind": args.kind, "p": args.p, "alpha": args.alpha,
-            "epsilon": args.epsilon,
-            "source_exponent": report.source_exponent,
-            "home_step": report.home_step,
-            "source": _scan_record(report.source_scan),
-            "inverse": [dict(step=n, **_scan_record(s))
-                        for n, s in report.inverse_scans],
-        })
-        strict_failed = _scan_strict_failed(
-            report.source_scan, *(s for _, s in report.inverse_scans))
-        if args.format == "csv":
-            rows = [("source", report.home_step, d, v)
-                    for d, v in zip(report.source_scan.degrees,
-                                    report.source_scan.values)]
-            rows += [("inverse", n, d, v) for n, s in report.inverse_scans
-                     for d, v in zip(s.degrees, s.values)]
-            csv_payload = _csv_rows(rows, ("series", "step", "degree", "value"))
-    elif args.target == "gp":
-        scan = gp_nuclearity_sum(args.p, args.alpha, args.m, args.jmax)
-        record.update({"p": args.p, "alpha": args.alpha, "m": args.m,
-                       "j_max": args.jmax,
-                       "expected_exponent":
-                           1.0 - (1.0 - 1.0 / args.m) / args.p})
-        record.update(_scan_record(scan))
-        strict_failed = _scan_strict_failed(scan)
-        if args.format == "csv":
-            csv_payload = _csv_rows(list(zip(scan.degrees, scan.values)),
-                                    ("degree", "value"))
-    elif args.target == "inclusion":
-        result = inclusion_ratio_scan(args.p, args.mu, args.gamma, args.jmax)
-        subsample = [d for d in
-                     (2 ** k for k in range(0, 30)) if d <= args.jmax]
-        record.update({
-            "p": args.p, "mu": args.mu, "gamma": args.gamma,
-            "j_max": args.jmax,
-            "exponent": result.exponent,
-            "r_squared": result.r_squared,
-            "expected_exponent": -(args.gamma - args.mu) / args.p,
-            "degrees": subsample,
-            "ratios": [float(result.ratios[d - 1]) for d in subsample],
-        })
-        if args.format == "csv":
-            csv_payload = _csv_rows(
-                list(zip(result.degrees.tolist(), result.ratios.tolist())),
-                ("degree", "value"))
-    else:  # schauder
-        top = 2 * args.nmax
-        if args.function == "constant":
-            coeffs = np.zeros(top + 1, dtype=complex)
-            coeffs[0] = 1.0
-            f = TaylorTruncation(coeffs)
-        elif args.function == "eigenfunction":
-            if args.m is None:
-                print("schauder --function eigenfunction requires -m",
-                      file=sys.stderr)
-                return EXIT_VALIDATION
-            f = eigenfunction_truncation(args.m, top)
-        else:  # binomial-plus
-            if args.exponent is None:
-                print("schauder --function binomial-plus requires --exponent",
-                      file=sys.stderr)
-                return EXIT_VALIDATION
-            f = binomial_series_coeffs(args.exponent, BinomialSign.PLUS_Z, top)
-        spec = SpaceSpec(args.p, args.alpha, SpaceKind(args.kind))
-        report = schauder_partial_sum_check(
-            f, spec, args.nmax, steps=tuple(_parse_int_list(args.basis_steps)))
-        record.update({
-            "kind": args.kind, "p": args.p, "alpha": args.alpha,
-            "function": args.function, "n_big": report.n_big,
-            "tails": [dict(step=n, **_scan_record(s))
-                      for n, s in report.tails],
-        })
-        strict_failed = _scan_strict_failed(*(s for _, s in report.tails))
-        if args.format == "csv":
-            rows = [("tail", n, d, v) for n, s in report.tails
-                    for d, v in zip(s.degrees, s.values)]
-            csv_payload = _csv_rows(rows, ("series", "step", "degree", "value"))
-    if args.format == "csv" and csv_payload is not None:
-        _write_output(csv_payload, args.out)
+    fields, rows, header, checked = _SCAN_TARGETS[args.target](args)
+    if args.format == "csv":
+        _write_output(_csv_rows(rows, header), args.out)
     else:
-        _write_output(dumps_json(record), args.out)
-    if args.strict and strict_failed:
+        _write_record("scan", {"target": args.target, **fields}, args.out)
+    if args.strict and any(s.classification.kind is GrowthKind.UNDETERMINED
+                           for s in checked):
         print("strict mode: at least one scan is undetermined", file=sys.stderr)
         return EXIT_NUMERIC
     return EXIT_OK
@@ -469,14 +443,12 @@ def _cmd_selftest(args: argparse.Namespace) -> int:
     results = run_selftest(quick=args.quick)
     if args.format == "json":
         record = {
-            "schema": SCHEMA_VERSION,
-            "command": "selftest",
             "quick": args.quick,
             "checks": [{"name": r.name, "passed": r.passed, "detail": r.detail}
                        for r in results],
             "all_passed": all(r.passed for r in results),
         }
-        _write_output(dumps_json(record), args.out)
+        _write_record("selftest", record, args.out)
     else:
         lines = [f"{'PASS' if r.passed else 'FAIL'} {r.name}: {r.detail}"
                  for r in results]
@@ -593,6 +565,13 @@ def build_parser() -> argparse.ArgumentParser:
 def _validate_scan_args(args: argparse.Namespace) -> str | None:
     if args.command != "scan":
         return None
+    if args.target == "eigen" and not args.m_list and args.m is None:
+        return "scan eigen requires -m or --m-list"
+    if args.target == "schauder":
+        if args.function == "eigenfunction" and args.m is None:
+            return "schauder --function eigenfunction requires -m"
+        if args.function == "binomial-plus" and args.exponent is None:
+            return "schauder --function binomial-plus requires --exponent"
     if args.target == "counterexample" and args.epsilon is None:
         return "scan counterexample requires --epsilon"
     if args.target == "gp":

@@ -70,9 +70,10 @@ def _check_predicate_equivalence(quick: bool) -> CheckResult:
     count = 10_000 if quick else 100_000
     lam = rng.uniform(-2, 2, count) + 1j * rng.uniform(-2, 2, count)
     lam = lam[np.abs(lam) > 1e-12]
-    for desc in (spectra.banach_spectrum(2.0, 2.0),
-                 spectra.frechet_spectrum(1.5, 0.7),
-                 spectra.lb_spectrum(3.0, 2.5)):
+    for spec in (norms.SpaceSpec(2.0, 2.0),
+                 norms.SpaceSpec(1.5, 0.7, norms.SpaceKind.FRECHET_INTERSECTION),
+                 norms.SpaceSpec(3.0, 2.5, norms.SpaceKind.LB_UNION)):
+        desc = spectra.spectrum(spec)
         direct = np.array([desc.disk_member_direct(z) for z in lam])
         recip = np.array([desc.disk_member_reciprocal(z) for z in lam])
         # the predicates may legitimately differ within rounding of the circle

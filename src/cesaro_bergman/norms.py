@@ -29,17 +29,14 @@ __all__ = [
     "SpaceSpec",
     "DiskQuadrature",
     "NonConvergedQuadrature",
-    "SeminormEntry",
     "InclusionScan",
     "log_beta",
     "monomial_norm",
-    "monomial_norm_quadratic_weight",
     "monomial_norm_asymptote",
     "parseval_weights",
     "norm_parseval",
     "norm_quadrature",
     "norm_quadrature_with_rule",
-    "seminorm_family",
     "inclusion_ratio_scan",
 ]
 
@@ -134,17 +131,6 @@ def monomial_norm(j, p: float, alpha: float):
     if np.any(jarr < 0):
         raise ValueError("monomial degree must be >= 0")
     val = np.exp((math.log(2.0) + log_beta(jarr * p + 2.0, alpha + 1.0)) / p)
-    return float(val) if np.isscalar(j) or jarr.ndim == 0 else val
-
-
-def monomial_norm_quadratic_weight(j, p: float, alpha: float):
-    """Monomial norm under the comparable weight (1-|z|^2)^alpha.
-
-    Closed form (B(jp/2+1, alpha+1))^{1/p}; the ratio to :func:`monomial_norm`
-    lies in [1, 2^{alpha/p}] because 1-r <= 1-r^2 <= 2(1-r).
-    """
-    jarr = np.asarray(j, dtype=float)
-    val = np.exp(log_beta(jarr * p / 2.0 + 1.0, alpha + 1.0) / p)
     return float(val) if np.isscalar(j) or jarr.ndim == 0 else val
 
 
@@ -275,6 +261,8 @@ def norm_quadrature_with_rule(
     the requested tolerance.
     """
     _check_exponents(p, alpha)
+    if not rel_tol > 0.0:
+        raise ValueError(f"rel_tol must be positive, got {rel_tol}")
     coeffs = np.asarray(f.coeffs, dtype=complex)
     if quad is not None and abs(quad.alpha - alpha) > 1e-12:
         raise ValueError("quadrature was built for a different alpha")
@@ -321,7 +309,7 @@ def norm_quadrature(
 
 
 # ---------------------------------------------------------------------------
-# limit-space seminorm families
+# space parameters and limit-space steps
 # ---------------------------------------------------------------------------
 
 class SpaceKind(enum.Enum):
@@ -343,12 +331,9 @@ class SpaceSpec:
     kind: SpaceKind = SpaceKind.BANACH
 
     def __post_init__(self) -> None:
-        if not (self.p >= 1.0):
-            raise ValueError("p must be >= 1")
+        _check_exponents(self.p, self.alpha)
         if not (self.alpha > 0.0) and self.kind is not SpaceKind.BANACH:
             raise ValueError("limit spaces need alpha > 0")
-        if self.alpha < 0.0:
-            raise ValueError("alpha must be >= 0")
 
     def step_alpha(self, n: int) -> float:
         """Weight exponent of the n-th step space."""
@@ -371,38 +356,6 @@ class SpaceSpec:
 
     def admissible_steps(self, n_max: int) -> list[int]:
         return list(range(self.min_step(), n_max + 1))
-
-
-@dataclass(frozen=True)
-class SeminormEntry:
-    n: int
-    alpha: float
-    value: float
-    ok: bool  # False when the quadrature failed to converge for this step
-
-
-def seminorm_family(
-    f: TaylorTruncation, spec: SpaceSpec, n_max: int, rel_tol: float = 1e-9
-) -> list[SeminormEntry]:
-    """Step seminorms ||f||_{p, alpha +/- 1/n} for the admissible n <= n_max.
-
-    Entries where the quadrature fails to converge are marked ok=False (value
-    nan) instead of aborting the family; p = 2 uses Parseval summation.
-    """
-    if spec.kind is SpaceKind.BANACH:
-        raise ValueError("seminorm families are defined for limit spaces only")
-    out: list[SeminormEntry] = []
-    for n in spec.admissible_steps(n_max):
-        mu = spec.step_alpha(n)
-        try:
-            if spec.p == 2.0:
-                value = norm_parseval(f, mu)
-            else:
-                value = norm_quadrature(f, spec.p, mu, rel_tol=rel_tol)
-            out.append(SeminormEntry(n, mu, value, True))
-        except NonConvergedQuadrature:
-            out.append(SeminormEntry(n, mu, math.nan, False))
-    return out
 
 
 @dataclass(frozen=True)

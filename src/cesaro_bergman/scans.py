@@ -40,8 +40,11 @@ __all__ = [
     "InvalidEpsilon",
     "CounterexampleReport",
     "SchauderReport",
+    "SeminormEntry",
     "scan_degrees",
     "classify_growth",
+    "truncation_norms",
+    "seminorm_family",
     "eigen_membership_scan",
     "expected_eigen_membership",
     "counterexample_blowup",
@@ -175,33 +178,67 @@ def classify_growth(
 # norm evaluation over truncation degrees
 # ---------------------------------------------------------------------------
 
-def _parseval_scan_values(coeffs: np.ndarray, alpha: float,
-                          degrees: list[int]) -> np.ndarray:
-    w = parseval_weights(alpha, len(coeffs) - 1)
-    cum = np.cumsum(np.abs(coeffs) ** 2 * w)
-    return np.sqrt(cum[np.asarray(degrees)])
+def truncation_norms(coeffs: np.ndarray, p: float, alpha: float, degrees,
+                     tails: bool = False,
+                     rel_tol: float = _SCAN_QUAD_TOL) -> np.ndarray:
+    """A^p_alpha norms of the truncations of coeffs at the given degrees, or
+    with tails=True the norms of what each truncation leaves out.
 
-
-def _quadrature_scan_values(coeffs: np.ndarray, p: float, alpha: float,
-                            degrees: list[int]) -> np.ndarray:
+    The one place that picks the method: Parseval sums over the weights of
+    degree len(coeffs) - 1 at p = 2, adaptive quadrature at rel_tol
+    otherwise.  A quadrature that does not converge gives nan.
+    """
+    if p == 2.0:
+        w = parseval_weights(alpha, len(coeffs) - 1)
+        cum = np.cumsum(np.abs(coeffs) ** 2 * w)
+        if tails:
+            return np.sqrt(np.maximum(cum[-1] - cum[np.asarray(degrees)], 0.0))
+        return np.sqrt(cum[np.asarray(degrees)])
     out = np.empty(len(degrees))
     for i, n in enumerate(degrees):
+        if tails:
+            part = coeffs.copy()
+            part[: n + 1] = 0.0
+        else:
+            part = coeffs[: n + 1]
         try:
-            out[i] = norm_quadrature(TaylorTruncation(coeffs[: n + 1]), p, alpha,
-                                     rel_tol=_SCAN_QUAD_TOL)
+            out[i] = norm_quadrature(TaylorTruncation(part), p, alpha,
+                                     rel_tol=rel_tol)
         except NonConvergedQuadrature:
             out[i] = math.nan
     return out
 
 
-def _truncation_norm_scan(coeffs: np.ndarray, p: float, alpha: float,
-                          degrees: list[int]) -> NormScan:
-    if p == 2.0:
-        values = _parseval_scan_values(coeffs, alpha, degrees)
-    else:
-        values = _quadrature_scan_values(coeffs, p, alpha, degrees)
+def _norm_scan(degrees: list[int], values) -> NormScan:
     return NormScan(tuple(degrees), tuple(float(x) for x in values),
                     classify_growth(degrees, values))
+
+
+@dataclass(frozen=True)
+class SeminormEntry:
+    n: int
+    alpha: float
+    value: float
+    ok: bool  # False when the quadrature failed to converge for this step
+
+
+def seminorm_family(
+    f: TaylorTruncation, spec: SpaceSpec, n_max: int, rel_tol: float = 1e-9
+) -> list[SeminormEntry]:
+    """Step seminorms ||f||_{p, alpha +/- 1/n} for the admissible n <= n_max.
+
+    Entries where the quadrature fails to converge are marked ok=False (value
+    nan) instead of aborting the family; p = 2 uses Parseval summation.
+    """
+    if spec.kind is SpaceKind.BANACH:
+        raise ValueError("seminorm families are defined for limit spaces only")
+    out: list[SeminormEntry] = []
+    for n in spec.admissible_steps(n_max):
+        mu = spec.step_alpha(n)
+        value = float(truncation_norms(f.coeffs, spec.p, mu, [f.degree],
+                                       rel_tol=rel_tol)[0])
+        out.append(SeminormEntry(n, mu, value, not math.isnan(value)))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -228,7 +265,7 @@ def eigen_membership_scan(m: int, p: float, alpha: float,
         raise AssertionError("eigen residual oracle failed; refusing to scan")
     degrees = scan_degrees(n_max)
     coeffs = eigenfunction_truncation(m, degrees[-1]).coeffs
-    return _truncation_norm_scan(coeffs, p, alpha, degrees)
+    return _norm_scan(degrees, truncation_norms(coeffs, p, alpha, degrees))
 
 
 @dataclass(frozen=True)
@@ -259,41 +296,34 @@ def counterexample_blowup(
     step n >= n0.  LB case: s = (alpha+1-2 eps)/p, home step n_eps with
     1/n_eps < eps; inverse scans at finer steps m > n_eps all diverge.
     """
-    kind = SpaceKind(kind) if isinstance(kind, str) else kind
     if not (0.0 < epsilon < 1.0) or p < 1.0 + 2.0 * epsilon:
         raise InvalidEpsilon(
             f"need epsilon in (0,1) with p >= 1 + 2*epsilon, got p={p}, "
             f"epsilon={epsilon}")
-    if alpha <= 0.0:
-        raise ValueError("alpha must be positive")
-    degrees = scan_degrees(n_max_degree)
-    top = degrees[-1]
-    n0 = int(math.floor(1.0 / epsilon)) + 1
-    if kind is SpaceKind.FRECHET_INTERSECTION:
-        s = (alpha + 1.0 - epsilon) / p
-        home = n0
-        tested = steps if steps is not None else list(range(n0, n0 + 4))
-        if any(n < n0 for n in tested):
-            raise ValueError(f"steps must satisfy 1/n < epsilon (n >= {n0})")
-        step_alpha = {n: alpha + 1.0 / n for n in tested}
-        home_alpha = alpha + 1.0 / home
-    elif kind is SpaceKind.LB_UNION:
-        s = (alpha + 1.0 - 2.0 * epsilon) / p
-        home = max(n0, int(math.floor(1.0 / alpha)) + 1)
-        tested = steps if steps is not None else list(range(home + 1, home + 5))
-        if any(n <= home for n in tested):
-            raise ValueError(f"LB steps must be finer than the home step {home}")
-        step_alpha = {n: alpha - 1.0 / n for n in tested}
-        home_alpha = alpha - 1.0 / home
-    else:
+    spec = SpaceSpec(p, alpha, SpaceKind(kind))
+    if spec.kind is SpaceKind.BANACH:
         raise ValueError("counterexample applies to limit spaces only")
-    source = binomial_series_coeffs(s, BinomialSign.PLUS_Z, top).coeffs
+    degrees = scan_degrees(n_max_degree)
+    lb = spec.kind is SpaceKind.LB_UNION
+    s = (alpha + 1.0 - (2.0 if lb else 1.0) * epsilon) / p
+    # the home step is the first admissible n with 1/n < epsilon; LB tests
+    # the finer steps only
+    home = max(int(math.floor(1.0 / epsilon)) + 1, spec.min_step())
+    first = home + 1 if lb else home
+    tested = steps if steps is not None else list(range(first, first + 4))
+    if any(n < first for n in tested):
+        raise ValueError(f"steps must be >= {first} (1/n < epsilon"
+                         f"{', finer than the home step' if lb else ''})")
+    source = binomial_series_coeffs(s, BinomialSign.PLUS_Z, degrees[-1]).coeffs
     inverse = cesaro_inverse_apply(TaylorTruncation(source)).coeffs
-    source_scan = _truncation_norm_scan(source, p, home_alpha, degrees)
+    source_scan = _norm_scan(degrees, truncation_norms(
+        source, p, spec.step_alpha(home), degrees))
     inv_scans = tuple(
-        (n, _truncation_norm_scan(inverse, p, step_alpha[n], degrees))
+        (n, _norm_scan(degrees, truncation_norms(
+            inverse, p, spec.step_alpha(n), degrees)))
         for n in tested)
-    return CounterexampleReport(kind, epsilon, s, home, source_scan, inv_scans)
+    return CounterexampleReport(spec.kind, epsilon, s, home, source_scan,
+                                inv_scans)
 
 
 def gp_nuclearity_sum(p: float, alpha: float, m: int,
@@ -314,9 +344,7 @@ def gp_nuclearity_sum(p: float, alpha: float, m: int,
     ratios = monomial_norm(j, p, alpha + 1.0) / monomial_norm(j, p, alpha + 1.0 / m)
     sums = np.cumsum(ratios)
     degrees = scan_degrees(1 << int(math.floor(math.log2(j_max))))
-    values = sums[np.asarray(degrees) - 1]
-    return NormScan(tuple(degrees), tuple(float(x) for x in values),
-                    classify_growth(degrees, values))
+    return _norm_scan(degrees, sums[np.asarray(degrees) - 1])
 
 
 @dataclass(frozen=True)
@@ -346,26 +374,8 @@ def schauder_partial_sum_check(
     if f_full.degree < 2 * n_max:
         raise ValueError("reference truncation must have degree >= 2 * n_max")
     degrees = scan_degrees(n_max)
-    n_big = f_full.degree
-    coeffs = f_full.coeffs
-    out = []
-    for n in steps:
-        mu = spec.step_alpha(n)
-        if spec.p == 2.0:
-            w = parseval_weights(mu, n_big)
-            cum = np.cumsum(np.abs(coeffs) ** 2 * w)
-            tails = np.sqrt(np.maximum(cum[-1] - cum[np.asarray(degrees)], 0.0))
-        else:
-            tails = np.empty(len(degrees))
-            for i, nn in enumerate(degrees):
-                sliced = coeffs.copy()
-                sliced[: nn + 1] = 0.0
-                try:
-                    tails[i] = norm_quadrature(TaylorTruncation(sliced), spec.p,
-                                               mu, rel_tol=_SCAN_QUAD_TOL)
-                except NonConvergedQuadrature:
-                    tails[i] = math.nan
-        scan = NormScan(tuple(degrees), tuple(float(x) for x in tails),
-                        classify_growth(degrees, tails))
-        out.append((n, scan))
-    return SchauderReport(spec, n_big, tuple(out))
+    tails = tuple(
+        (n, _norm_scan(degrees, truncation_norms(
+            f_full.coeffs, spec.p, spec.step_alpha(n), degrees, tails=True)))
+        for n in steps)
+    return SchauderReport(spec, f_full.degree, tails)

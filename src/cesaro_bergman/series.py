@@ -48,31 +48,6 @@ class TaylorTruncation:
     def degree(self) -> int:
         return len(self.coeffs) - 1
 
-    def padded(self, degree: int) -> "TaylorTruncation":
-        """Zero-pad (or truncate) to the given degree."""
-        if degree < 0:
-            raise ValueError("degree must be nonnegative")
-        out = np.zeros(degree + 1, dtype=complex)
-        n = min(degree, self.degree)
-        out[: n + 1] = self.coeffs[: n + 1]
-        return TaylorTruncation(out)
-
-    def __add__(self, other: "TaylorTruncation") -> "TaylorTruncation":
-        n = max(self.degree, other.degree)
-        return TaylorTruncation(self.padded(n).coeffs + other.padded(n).coeffs)
-
-    def __mul__(self, scalar: complex) -> "TaylorTruncation":
-        return TaylorTruncation(self.coeffs * scalar)
-
-    __rmul__ = __mul__
-
-    def evaluate(self, z: complex) -> complex:
-        """Horner evaluation; meaningful for |z| < 1."""
-        acc = 0.0 + 0.0j
-        for c in self.coeffs[::-1]:
-            acc = acc * z + c
-        return acc
-
 
 def cesaro_apply(f: TaylorTruncation) -> TaylorTruncation:
     """Coefficient-averaging (Cesàro) operator: output_k = mean(a_0..a_k)."""

@@ -28,9 +28,7 @@ __all__ = [
     "SpectralDescription",
     "BoundaryTooClose",
     "CrosscheckReport",
-    "banach_spectrum",
-    "frechet_spectrum",
-    "lb_spectrum",
+    "spectrum",
     "waelbroeck",
     "step_union_crosscheck",
     "filtered_grid",
@@ -143,51 +141,27 @@ def _boundary_integer(r: float) -> int | None:
     return None
 
 
-def banach_spectrum(p: float, alpha: float) -> SpectralDescription:
-    """Spectrum on the Banach space A^p_alpha: closed disk D_r together with
-    the eigenvalues 1/m for m < r, where r = (2+alpha)/p."""
-    if p < 1.0 or alpha < 0.0:
-        raise ValueError("need p >= 1 and alpha >= 0")
-    r = _disk_parameter(p, alpha)
-    return SpectralDescription(
-        points=_eigen_points(r),
-        disk_r=r,
-        disk_boundary=DiskBoundary.CLOSED,
-        includes_origin=True,
-    )
+def spectrum(spec: SpaceSpec) -> SpectralDescription:
+    """Spectrum of C on the space spec describes, with r = (2+alpha)/p.
 
-
-def frechet_spectrum(p: float, alpha: float) -> SpectralDescription:
-    """Spectrum on the intersection space (steps alpha + 1/n).
-
-    The set is {0} union the open disk D_r union the certain eigenvalues
-    {1/m : m < r}.  When r is an integer the value 1/r may or may not be an
-    eigenvalue of the limit space; it is reported as UNDETERMINED.
+    Every setting has the origin and the eigenvalues 1/m for m < r.  The
+    Banach space A^p_alpha and the union space (steps alpha - 1/n) carry the
+    closed disk D_r.  The intersection space (steps alpha + 1/n) carries the
+    open disk; when r is an integer the value 1/r may or may not be an
+    eigenvalue of the limit space, and it is reported as UNDETERMINED.  The
+    limit spaces need p > 1.
     """
-    if p <= 1.0 or alpha <= 0.0:
-        raise ValueError("need p > 1 and alpha > 0")
-    r = _disk_parameter(p, alpha)
+    if spec.kind is not SpaceKind.BANACH and not spec.p > 1.0:
+        raise ValueError(f"limit spaces need p > 1, got p={spec.p}")
+    r = _disk_parameter(spec.p, spec.alpha)
     m0 = _boundary_integer(r)
+    frechet = spec.kind is SpaceKind.FRECHET_INTERSECTION
     return SpectralDescription(
         points=_eigen_points(r),
         disk_r=r,
-        disk_boundary=DiskBoundary.OPEN,
+        disk_boundary=DiskBoundary.OPEN if frechet else DiskBoundary.CLOSED,
         includes_origin=True,
-        undetermined_points=(1.0 / m0,) if m0 is not None else (),
-    )
-
-
-def lb_spectrum(p: float, alpha: float) -> SpectralDescription:
-    """Spectrum on the union space (steps alpha - 1/n): closed disk D_r plus
-    the eigenvalues 1/m for m < r."""
-    if p <= 1.0 or alpha <= 0.0:
-        raise ValueError("need p > 1 and alpha > 0")
-    r = _disk_parameter(p, alpha)
-    return SpectralDescription(
-        points=_eigen_points(r),
-        disk_r=r,
-        disk_boundary=DiskBoundary.CLOSED,
-        includes_origin=True,
+        undetermined_points=(1.0 / m0,) if frechet and m0 is not None else (),
     )
 
 
@@ -287,22 +261,24 @@ def _assembled_mask(kind: SpaceKind, p: float, alpha: float, n_max: int,
     Re(1/lam) >= r_n.  The origin is masked once, and so is each distinct
     eigenvalue set {1/m : m < r_n}, which the steps sharing it reuse.
     """
-    steps = [banach_spectrum(p, a) for a in _step_alphas(kind, p, alpha, n_max)]
+    # each step's (r_n, eigenvalues) is built before the grid arrays: built
+    # inside the loop, the peak RSS crept up over repeated cross-checks
+    radii = [_disk_parameter(p, a) for a in _step_alphas(kind, p, alpha, n_max)]
+    steps = [(r, _eigen_points(r)) for r in radii]
     re = _re_reciprocal(lams)
     origin = np.abs(lams) <= _POINT_TOL
     point_masks: dict[tuple[float, ...], np.ndarray] = {}
 
-    def step_mask(s: SpectralDescription) -> np.ndarray:
-        # every step is a Banach description, so it includes the origin
-        pts = point_masks.get(s.points)
+    def step_mask(step: tuple[float, tuple[float, ...]]) -> np.ndarray:
+        # the Banach step spectrum: origin, eigenvalues and closed disk
+        r, points = step
+        pts = point_masks.get(points)
         if pts is None:
             pts = origin.copy()
-            for pt in s.points:
+            for pt in points:
                 pts |= np.abs(lams - pt) <= _POINT_TOL
-            point_masks[s.points] = pts
-        if s.disk_boundary is DiskBoundary.CLOSED:
-            return pts | (re >= s.disk_r)
-        return pts | (re > s.disk_r)
+            point_masks[points] = pts
+        return pts | (re >= r)
 
     if kind is SpaceKind.FRECHET_INTERSECTION:
         assembled = origin.copy()  # {0} joins the union
@@ -365,11 +341,7 @@ def step_union_crosscheck(
             f"{int(bad.sum())} grid point(s) inside the exclusion band, "
             f"first offender {offender}")
     assembled = _assembled_mask(kind, p, alpha, n_max, lams)
-    if kind is SpaceKind.FRECHET_INTERSECTION:
-        limit = frechet_spectrum(p, alpha)
-    else:
-        limit = lb_spectrum(p, alpha)
-    limit_mask = _member_mask(limit, lams)
+    limit_mask = _member_mask(spectrum(SpaceSpec(p, alpha, kind)), lams)
     diff = limit_mask != assembled
     return CrosscheckReport(
         kind=kind, p=p, alpha=alpha, n_max=n_max, n_checked=len(lams),

@@ -39,8 +39,7 @@ from cesaro_bergman.spectra import (
     DiskBoundary,
     SpectralDescription,
     filtered_grid,
-    frechet_spectrum,
-    lb_spectrum,
+    spectrum,
     step_union_crosscheck,
     waelbroeck,
 )
@@ -191,7 +190,8 @@ def test_criterion_9_spectral_crosscheck():
     grids_ok = all(bad == 0 for _, bad in results.values())
     waelbroeck_ok = True
     for p, alpha in [(2.0, 2.0), (2.0, 1.0), (1.5, 0.7)]:
-        fre = frechet_spectrum(p, alpha)
+        fre = spectrum(SpaceSpec(p, alpha,
+                                  SpaceKind.FRECHET_INTERSECTION))
         direct_closure = SpectralDescription(
             points=fre.points + fre.undetermined_points,
             disk_r=fre.disk_r,
@@ -199,7 +199,7 @@ def test_criterion_9_spectral_crosscheck():
             includes_origin=True,
         ).normalized()
         waelbroeck_ok &= waelbroeck(fre) == direct_closure
-        lbd = lb_spectrum(p, alpha)
+        lbd = spectrum(SpaceSpec(p, alpha, SpaceKind.LB_UNION))
         waelbroeck_ok &= waelbroeck(lbd) == lbd.normalized()
     ok = grids_ok and waelbroeck_ok
     assert report(9, "spectral step-union cross-check", ok,

@@ -75,6 +75,29 @@ class TestNormCommand:
         assert code == 2 and out == ""
         assert "finite" in err
 
+    @pytest.mark.parametrize("mode", [
+        ("--quadrature", "-p", "1.5"), ("--parseval",),
+        ("--family", "frechet", "-p", "2"), ("--family", "lb", "-p", "3")])
+    @pytest.mark.parametrize("bad", ["NaN", "Infinity"])
+    def test_nonfinite_coefficient_exits_2(self, capsys, tmp_path, mode, bad):
+        path = tmp_path / "c.json"
+        path.write_text(f"[[1.0, 0.0], [0.5, {bad}]]")
+        start = time.time()
+        code, out, err = run_cli(capsys, "norm", *mode, "--alpha", "1",
+                                 "--coeffs-file", str(path))
+        assert code == 2 and out == ""
+        assert "finite" in err and time.time() - start < 0.5
+
+    @pytest.mark.parametrize("rel_tol", ["nan", "-1", "0"])
+    def test_bad_rel_tol_exits_2(self, capsys, tmp_path, rel_tol):
+        path = tmp_path / "c.json"
+        path.write_text("[[1.0, 0.0], [0.5, 0.0]]")
+        code, out, err = run_cli(capsys, "norm", "--quadrature", "-p", "1.5",
+                                 "--alpha", "1", "--coeffs-file", str(path),
+                                 f"--rel-tol={rel_tol}")
+        assert code == 2 and out == ""
+        assert "rel_tol" in err
+
     def test_bad_coeffs_file(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps([1.0, 2.0]))
@@ -174,6 +197,15 @@ class TestSpectrumCommand:
         assert code == 2 and out == ""
         assert "--band" in err
 
+    @pytest.mark.parametrize("kind", ["banach", "frechet", "lb"])
+    @pytest.mark.parametrize("p, alpha", [("nan", "1"), ("inf", "1"),
+                                          ("2", "nan"), ("2", "inf")])
+    def test_nonfinite_exponents_exit_2(self, capsys, kind, p, alpha):
+        code, out, err = run_cli(capsys, "spectrum", "--kind", kind,
+                                 "-p", p, "--alpha", alpha)
+        assert code == 2 and out == ""
+        assert "finite" in err
+
     def test_waelbroeck_flag_closes_boundary(self, capsys):
         code, out, _ = run_cli(capsys, "spectrum", "--kind", "frechet",
                                "-p", "2", "--alpha", "2", "--waelbroeck",
@@ -236,6 +268,15 @@ class TestScanCommand:
         code, _, err = run_cli(capsys, "scan", "counterexample", "-p", "2",
                                "--alpha", "1")
         assert code == 2 and "epsilon" in err
+
+    @pytest.mark.parametrize("argv, message", [
+        (("eigen",), "requires -m or --m-list"),
+        (("schauder", "--function", "eigenfunction"), "requires -m"),
+        (("schauder", "--function", "binomial-plus"), "requires --exponent")])
+    def test_target_specific_args_required(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, "scan", *argv, "--nmax", "128")
+        assert code == 2 and out == ""
+        assert message in err
 
     def test_strict_flag_on_undetermined(self, capsys, monkeypatch):
         def boom(*args, **kwargs):

@@ -18,13 +18,12 @@ from cesaro_bergman.norms import (
     log_beta,
     monomial_norm,
     monomial_norm_asymptote,
-    monomial_norm_quadratic_weight,
     norm_parseval,
     norm_quadrature,
     norm_quadrature_with_rule,
     parseval_weights,
-    seminorm_family,
 )
+from cesaro_bergman.scans import seminorm_family
 from cesaro_bergman.series import BinomialSign, TaylorTruncation, binomial_series_coeffs
 
 
@@ -218,13 +217,6 @@ class TestMonomialNorm:
         assert abs(scaled - 0.5) / 0.5 < 0.02
         assert abs(monomial_norm_asymptote(2.0, 1.0) - 0.5) < 1e-15
 
-    def test_quadratic_weight_comparability(self):
-        for j in (0, 1, 7, 40):
-            for p, alpha in [(2.0, 1.0), (1.5, 2.0), (3.0, 0.5)]:
-                ratio = (monomial_norm_quadratic_weight(j, p, alpha)
-                         / monomial_norm(j, p, alpha))
-                assert 1.0 - 1e-12 <= ratio <= 2.0 ** (alpha / p) + 1e-12
-
     def test_validation(self):
         with pytest.raises(ValueError):
             monomial_norm(0, 0.5, 1.0)
@@ -305,6 +297,13 @@ class TestQuadrature:
         with pytest.raises(ValueError):
             norm_quadrature(trunc([1, 1]), 2.0, 2.0, quad=quad)
 
+    @pytest.mark.parametrize("rel_tol", [math.nan, -1.0, 0.0])
+    def test_bad_rel_tol_rejected(self, rel_tol):
+        # refused before any pass: a bad tolerance used to run the doubling
+        # to max_radial and end in NonConvergedQuadrature
+        with pytest.raises(ValueError, match="rel_tol"):
+            norm_quadrature_with_rule(trunc([1, 1]), 3.0, 1.0, rel_tol=rel_tol)
+
 
 class TestSpaceSpec:
     def test_frechet_steps(self):
@@ -322,6 +321,13 @@ class TestSpaceSpec:
     def test_limit_space_needs_positive_alpha(self):
         with pytest.raises(ValueError):
             SpaceSpec(2.0, 0.0, SpaceKind.LB_UNION)
+
+    @pytest.mark.parametrize("kind", list(SpaceKind))
+    @pytest.mark.parametrize("p, alpha", [(math.nan, 1.0), (math.inf, 1.0),
+                                          (2.0, math.nan), (2.0, math.inf)])
+    def test_nonfinite_exponents_rejected(self, kind, p, alpha):
+        with pytest.raises(ValueError, match="finite"):
+            SpaceSpec(p, alpha, kind)
 
 
 class TestSeminormFamily:

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cesaro_bergman import norms
 from cesaro_bergman.norms import SpaceKind, SpaceSpec, monomial_norm
@@ -15,6 +17,8 @@ from cesaro_bergman.scans import (
     gp_nuclearity_sum,
     scan_degrees,
     schauder_partial_sum_check,
+    seminorm_family,
+    truncation_norms,
 )
 from cesaro_bergman.series import (
     BinomialSign,
@@ -25,6 +29,105 @@ from cesaro_bergman.series import (
 
 
 DEGS = scan_degrees(1 << 14)
+
+
+# ---------------------------------------------------------------------------
+# oracle: the per-caller norm helpers that truncation_norms replaced
+# ---------------------------------------------------------------------------
+
+def oracle_parseval_scan_values(coeffs, alpha, degrees):
+    w = norms.parseval_weights(alpha, len(coeffs) - 1)
+    cum = np.cumsum(np.abs(coeffs) ** 2 * w)
+    return np.sqrt(cum[np.asarray(degrees)])
+
+
+def oracle_parseval_tails(coeffs, alpha, degrees):
+    # the forward-difference tails of schauder_partial_sum_check
+    w = norms.parseval_weights(alpha, len(coeffs) - 1)
+    cum = np.cumsum(np.abs(coeffs) ** 2 * w)
+    return np.sqrt(np.maximum(cum[-1] - cum[np.asarray(degrees)], 0.0))
+
+
+def oracle_quadrature_values(coeffs, p, alpha, degrees, tails, rel_tol=5e-5):
+    out = []
+    for n in degrees:
+        if tails:
+            part = coeffs.copy()
+            part[: n + 1] = 0.0
+        else:
+            part = coeffs[: n + 1]
+        try:
+            out.append(norms.norm_quadrature(TaylorTruncation(part), p, alpha,
+                                             rel_tol=rel_tol))
+        except norms.NonConvergedQuadrature:
+            out.append(math.nan)
+    return np.array(out)
+
+
+def _coeff_array(reals, imags, complex_):
+    c = np.array(reals, dtype=complex)
+    if complex_:
+        c += 1j * np.array(imags)
+    return c
+
+
+class TestTruncationNorms:
+    @settings(max_examples=100, deadline=None)
+    @given(reals=st.lists(st.floats(-1e3, 1e3), min_size=2, max_size=400),
+           imags=st.lists(st.floats(-1e3, 1e3), min_size=400, max_size=400),
+           complex_=st.booleans(),
+           alpha=st.floats(0.0, 8.0),
+           cuts=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=8),
+           tails=st.booleans())
+    def test_parseval_matches_old_helpers_bit_for_bit(self, reals, imags,
+                                                      complex_, alpha, cuts,
+                                                      tails):
+        c = _coeff_array(reals, imags[: len(reals)], complex_)
+        degrees = sorted({int(x * (len(c) - 1)) for x in cuts})
+        got = truncation_norms(c, 2.0, alpha, degrees, tails=tails)
+        oracle = oracle_parseval_tails if tails else oracle_parseval_scan_values
+        assert np.array_equal(got, oracle(c, alpha, degrees))
+
+    @settings(max_examples=12, deadline=None)
+    @given(reals=st.lists(st.floats(-1.0, 1.0), min_size=2, max_size=48),
+           imags=st.lists(st.floats(-1.0, 1.0), min_size=48, max_size=48),
+           complex_=st.booleans(),
+           p=st.sampled_from([1.5, 3.0, 4.0]),
+           alpha=st.floats(0.0, 4.0),
+           tails=st.booleans())
+    def test_quadrature_matches_explicit_slices(self, reals, imags, complex_,
+                                                p, alpha, tails):
+        c = _coeff_array(reals, imags[: len(reals)], complex_)
+        degrees = sorted({0, len(c) // 2, len(c) - 1})
+        got = truncation_norms(c, p, alpha, degrees, tails=tails)
+        np.testing.assert_array_equal(
+            got, oracle_quadrature_values(c, p, alpha, degrees, tails))
+
+    def test_rel_tol_reaches_the_quadrature(self):
+        c = eigenfunction_truncation(1, 64).coeffs
+        got = truncation_norms(c, 3.0, 1.0, [16, 64], rel_tol=1e-10)
+        np.testing.assert_array_equal(
+            got, oracle_quadrature_values(c, 3.0, 1.0, [16, 64], False,
+                                          rel_tol=1e-10))
+
+    def test_nonconvergence_gives_nan(self, monkeypatch):
+        def boom(*args, **kwargs):
+            raise norms.NonConvergedQuadrature("forced", math.nan, math.inf)
+        monkeypatch.setattr("cesaro_bergman.scans.norm_quadrature", boom)
+        for tails in (False, True):
+            got = truncation_norms(np.ones(9), 3.0, 1.0, [2, 8], tails=tails)
+            assert np.all(np.isnan(got))
+
+    def test_family_matches_parseval_sum(self):
+        # cumsum and np.sum order the additions differently: allow the
+        # sequential-sum bound of n ulps
+        rng = np.random.default_rng(8)
+        c = rng.uniform(-1, 1, 200) + 1j * rng.uniform(-1, 1, 200)
+        f = TaylorTruncation(c)
+        spec = SpaceSpec(2.0, 1.5, SpaceKind.FRECHET_INTERSECTION)
+        for e in seminorm_family(f, spec, 4):
+            want = norms.norm_parseval(f, e.alpha)
+            assert e.ok and abs(e.value - want) <= len(c) * 2.3e-16 * want
 
 
 class TestClassifier:
@@ -148,6 +251,18 @@ class TestCounterexample:
     def test_step_validation(self):
         with pytest.raises(ValueError):
             counterexample_blowup(2.0, 1.0, 0.4, "frechet", steps=[2])
+        with pytest.raises(ValueError):
+            counterexample_blowup(2.0, 1.0, 0.4, "lb", steps=[3])
+
+    def test_lb_home_step_is_first_admissible(self):
+        # alpha = 0.3 admits LB steps n >= 4 only, above 1/epsilon = 2.5
+        report = counterexample_blowup(2.0, 0.3, 0.4, "lb", n_max_degree=256)
+        spec = SpaceSpec(2.0, 0.3, SpaceKind.LB_UNION)
+        assert report.home_step == spec.min_step() == 4
+        assert [n for n, _ in report.inverse_scans] == [5, 6, 7, 8]
+        with pytest.raises(ValueError):
+            counterexample_blowup(2.0, 0.3, 0.4, "lb", n_max_degree=256,
+                                  steps=[4])
 
 
 class TestGrothendieckPietsch:
@@ -220,7 +335,7 @@ def test_lb_eigen_divergence_at_every_admissible_step():
     # alpha=2: m = (2 + alpha - 1/n)/p fails for every n
     spec = SpaceSpec(2.0, 2.0, SpaceKind.LB_UNION)
     f = eigenfunction_truncation(2, 1 << 14)
-    fam = norms.seminorm_family(f, spec, 4)
+    fam = seminorm_family(f, spec, 4)
     for entry in fam:
         assert 2 >= (2.0 + entry.alpha) / 2.0
         scan = eigen_membership_scan(2, 2.0, entry.alpha)

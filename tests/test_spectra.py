@@ -5,20 +5,111 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from cesaro_bergman.norms import SpaceKind
+from cesaro_bergman.norms import SpaceKind, SpaceSpec
 from cesaro_bergman.spectra import _assembled_mask, _exclusion_mask, _member_mask
 from cesaro_bergman.spectra import (
     BoundaryTooClose,
     DiskBoundary,
     Membership,
     SpectralDescription,
-    banach_spectrum,
     filtered_grid,
-    frechet_spectrum,
-    lb_spectrum,
+    spectrum,
     step_union_crosscheck,
     waelbroeck,
 )
+
+FRECHET = SpaceKind.FRECHET_INTERSECTION
+LB = SpaceKind.LB_UNION
+
+
+# ---------------------------------------------------------------------------
+# oracle: the three per-setting builders that spectrum() replaced
+# ---------------------------------------------------------------------------
+
+def _oracle_eigen_points(r):
+    top = int(math.floor(r))
+    if abs(r - round(r)) <= 1e-9:
+        top = int(round(r)) - 1
+    return tuple(1.0 / m for m in range(1, top + 1))
+
+
+def _oracle_boundary_integer(r):
+    m0 = int(round(r))
+    if m0 >= 1 and abs(r - m0) <= 1e-9:
+        return m0
+    return None
+
+
+def oracle_banach_spectrum(p, alpha):
+    if p < 1.0 or alpha < 0.0:
+        raise ValueError("need p >= 1 and alpha >= 0")
+    r = (2.0 + alpha) / p
+    return SpectralDescription(points=_oracle_eigen_points(r), disk_r=r,
+                               disk_boundary=DiskBoundary.CLOSED,
+                               includes_origin=True)
+
+
+def oracle_frechet_spectrum(p, alpha):
+    if p <= 1.0 or alpha <= 0.0:
+        raise ValueError("need p > 1 and alpha > 0")
+    r = (2.0 + alpha) / p
+    m0 = _oracle_boundary_integer(r)
+    return SpectralDescription(
+        points=_oracle_eigen_points(r), disk_r=r,
+        disk_boundary=DiskBoundary.OPEN, includes_origin=True,
+        undetermined_points=(1.0 / m0,) if m0 is not None else ())
+
+
+def oracle_lb_spectrum(p, alpha):
+    if p <= 1.0 or alpha <= 0.0:
+        raise ValueError("need p > 1 and alpha > 0")
+    r = (2.0 + alpha) / p
+    return SpectralDescription(points=_oracle_eigen_points(r), disk_r=r,
+                               disk_boundary=DiskBoundary.CLOSED,
+                               includes_origin=True)
+
+
+ORACLE_BUILDERS = {SpaceKind.BANACH: oracle_banach_spectrum,
+                   FRECHET: oracle_frechet_spectrum, LB: oracle_lb_spectrum}
+
+
+class TestSpectrumOracle:
+    """spectrum(SpaceSpec) gives the same description as the old builder of
+    each setting, and refuses the same exponents."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(kind=st.sampled_from(list(SpaceKind)),
+           p=st.floats(1.0, 8.0),
+           alpha=st.floats(0.0, 12.0) | st.integers(0, 12).map(float),
+           integral_r=st.booleans())
+    def test_matches_old_builders(self, kind, p, alpha, integral_r):
+        if integral_r:  # pick p so that r = (2 + alpha)/p is an integer
+            m = max(1, round((2.0 + alpha) / p))
+            p = (2.0 + alpha) / m
+            if p < 1.0:
+                return
+        try:
+            want = ORACLE_BUILDERS[kind](p, alpha)
+        except ValueError:
+            with pytest.raises(ValueError):
+                spectrum(SpaceSpec(p, alpha, kind))
+            return
+        assert spectrum(SpaceSpec(p, alpha, kind)) == want
+
+    @pytest.mark.parametrize("kind", [FRECHET, LB])
+    @pytest.mark.parametrize("p,alpha", [(1.0, 2.0), (2.0, 0.0)])
+    def test_limit_kinds_need_p_above_one_and_positive_alpha(self, kind, p,
+                                                             alpha):
+        with pytest.raises(ValueError):
+            spectrum(SpaceSpec(p, alpha, kind))
+        spectrum(SpaceSpec(p, alpha))  # the Banach space accepts both
+
+    @pytest.mark.parametrize("kind", list(SpaceKind))
+    @pytest.mark.parametrize("p,alpha", [(math.nan, 1.0), (math.inf, 1.0),
+                                         (2.0, math.nan), (2.0, math.inf)])
+    def test_nonfinite_exponents_rejected(self, kind, p, alpha):
+        with pytest.raises(ValueError, match="finite"):
+            spectrum(SpaceSpec(p, alpha, kind))
 
 
 # ---------------------------------------------------------------------------
@@ -51,7 +142,7 @@ def oracle_exclusion_mask(kind, p, alpha, n_max, lams, band):
 
 
 def oracle_assembled_mask(kind, p, alpha, n_max, lams):
-    members = np.stack([_member_mask(banach_spectrum(p, a), lams)
+    members = np.stack([_member_mask(oracle_banach_spectrum(p, a), lams)
                         for a in _oracle_step_alphas(kind, alpha, n_max)])
     if kind is SpaceKind.FRECHET_INTERSECTION:
         return (np.abs(lams) <= 1e-12) | np.logical_or.reduce(members, axis=0)
@@ -88,7 +179,7 @@ def assert_matches_oracle(kind, p, alpha, n_max, lams, band=1e-9):
 
 class TestBanachSpectrum:
     def test_p2_alpha2_shape(self):
-        desc = banach_spectrum(2.0, 2.0)
+        desc = spectrum(SpaceSpec(2.0, 2.0))
         assert desc.disk_r == 2.0
         assert desc.points == (1.0,)
         assert desc.disk_center == 0.25 and desc.disk_radius == 0.25
@@ -96,7 +187,7 @@ class TestBanachSpectrum:
         assert desc.includes_origin
 
     def test_membership_arithmetic(self):
-        desc = banach_spectrum(2.0, 2.0)
+        desc = spectrum(SpaceSpec(2.0, 2.0))
         assert desc.membership(0.3) is Membership.IN  # |0.3-0.25| < 0.25
         assert desc.membership(0.5 + 0.5j) is Membership.OUT  # Re(1/lam) = 1 < 2
         assert desc.membership(0.0) is Membership.IN
@@ -104,14 +195,14 @@ class TestBanachSpectrum:
 
     def test_small_disk_parameter_allowed(self):
         # (2+alpha)/p below 1 still yields a consistent disk
-        desc = banach_spectrum(3.0, 0.5)
+        desc = spectrum(SpaceSpec(3.0, 0.5))
         assert desc.disk_r == pytest.approx(2.5 / 3.0)
         assert desc.points == ()
 
 
 class TestFrechetSpectrum:
     def test_p2_alpha2_sandwich(self):
-        desc = frechet_spectrum(2.0, 2.0)
+        desc = spectrum(SpaceSpec(2.0, 2.0, FRECHET))
         assert desc.points == (1.0,)
         assert desc.undetermined_points == (0.5,)
         assert desc.disk_boundary is DiskBoundary.OPEN
@@ -120,24 +211,24 @@ class TestFrechetSpectrum:
         assert desc.membership(1.0) is Membership.IN
 
     def test_boundary_point_not_in_open_disk(self):
-        desc = frechet_spectrum(2.0, 2.0)
+        desc = spectrum(SpaceSpec(2.0, 2.0, FRECHET))
         assert not desc.disk_member_direct(0.5)
         assert not desc.disk_member_reciprocal(0.5)
 
     def test_no_sandwich_when_threshold_not_integer(self):
-        desc = frechet_spectrum(2.0, 1.0)  # r = 1.5
+        desc = spectrum(SpaceSpec(2.0, 1.0, FRECHET))  # r = 1.5
         assert desc.undetermined_points == ()
         assert desc.membership(1.0) is Membership.IN
         assert desc.membership(2.0 / 3.0) is Membership.OUT
 
     def test_interior_point(self):
-        desc = frechet_spectrum(2.0, 2.0)
+        desc = spectrum(SpaceSpec(2.0, 2.0, FRECHET))
         assert desc.membership(1.0 / 3.0) is Membership.IN  # Re(3) > 2
 
 
 class TestLBSpectrum:
     def test_p2_alpha2(self):
-        desc = lb_spectrum(2.0, 2.0)
+        desc = spectrum(SpaceSpec(2.0, 2.0, LB))
         assert desc.points == (1.0,)
         assert desc.membership(0.5) is Membership.IN  # closed boundary circle
         assert desc.membership(2.0) is Membership.OUT
@@ -146,7 +237,7 @@ class TestLBSpectrum:
 
 class TestWaelbroeck:
     def test_frechet_closure_absorbs_sandwich(self):
-        closed = waelbroeck(frechet_spectrum(2.0, 2.0))
+        closed = waelbroeck(spectrum(SpaceSpec(2.0, 2.0, FRECHET)))
         assert closed.disk_boundary is DiskBoundary.CLOSED
         assert closed.undetermined_points == ()
         assert closed.membership(0.5) is Membership.IN
@@ -158,13 +249,14 @@ class TestWaelbroeck:
         assert closed == direct
 
     def test_idempotent(self):
-        for desc in (banach_spectrum(2.0, 1.0), frechet_spectrum(2.0, 2.0),
-                     lb_spectrum(1.5, 0.7)):
+        for spec in (SpaceSpec(2.0, 1.0), SpaceSpec(2.0, 2.0, FRECHET),
+                     SpaceSpec(1.5, 0.7, LB)):
+            desc = spectrum(spec)
             once = waelbroeck(desc)
             assert waelbroeck(once) == once
 
     def test_lb_unchanged(self):
-        desc = lb_spectrum(2.0, 2.0)
+        desc = spectrum(SpaceSpec(2.0, 2.0, LB))
         assert waelbroeck(desc) == desc.normalized()
 
 
@@ -173,7 +265,8 @@ class TestPredicates:
         rng = np.random.default_rng(99)
         lam = rng.uniform(-2, 2, 100_000) + 1j * rng.uniform(-2, 2, 100_000)
         lam = lam[np.abs(lam) > 1e-9]
-        for desc in (banach_spectrum(2.0, 2.0), frechet_spectrum(3.0, 2.5)):
+        for desc in (spectrum(SpaceSpec(2.0, 2.0)),
+                     spectrum(SpaceSpec(3.0, 2.5, FRECHET))):
             # skip samples within rounding distance of the circle
             edge = np.abs(np.abs(lam - desc.disk_center) - desc.disk_radius) < 1e-12
             check = lam[~edge]
@@ -184,15 +277,15 @@ class TestPredicates:
     def test_monotone_disks(self):
         rng = np.random.default_rng(7)
         lam = rng.uniform(-1, 1, 20_000) + 1j * rng.uniform(-1, 1, 20_000)
-        small_r = banach_spectrum(2.0, 1.0)   # r = 1.5
-        large_r = banach_spectrum(2.0, 3.0)   # r = 2.5, smaller disk
+        small_r = spectrum(SpaceSpec(2.0, 1.0))   # r = 1.5
+        large_r = spectrum(SpaceSpec(2.0, 3.0))   # r = 2.5, smaller disk
         for z in lam[:2000]:
             if large_r.disk_member_direct(z):
                 assert small_r.disk_member_direct(z)
 
     def test_frechet_set_not_closed(self):
         # members of the open disk converge to a non-member boundary point
-        desc = frechet_spectrum(2.0, 2.0)
+        desc = spectrum(SpaceSpec(2.0, 2.0, FRECHET))
         boundary = desc.disk_center + desc.disk_radius * np.exp(2.4j)
         inside = [desc.disk_center + (1 - 10.0 ** -k) * (boundary - desc.disk_center)
                   for k in range(2, 8)]
