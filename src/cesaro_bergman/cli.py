@@ -178,6 +178,8 @@ def _load_coeffs(path: str) -> TaylorTruncation:
     for entry in data:
         if not (isinstance(entry, list) and len(entry) == 2):
             raise ValueError("coefficient entries must be [re, im] pairs")
+        if any(isinstance(x, bool) for x in entry):
+            raise ValueError("coefficients must be numbers, not booleans")
         coeffs.append(complex(float(entry[0]), float(entry[1])))
     arr = np.array(coeffs, dtype=complex)
     if not np.all(np.isfinite(arr)):

@@ -20,7 +20,7 @@ from .norms import (
     NonConvergedQuadrature,
     SpaceKind,
     SpaceSpec,
-    monomial_norm,
+    _log_monomial_ratio,
     norm_quadrature,
     parseval_weights,
 )
@@ -229,11 +229,16 @@ def seminorm_family(
 
     Entries where the quadrature fails to converge are marked ok=False (value
     nan) instead of aborting the family; p = 2 uses Parseval summation.
+    Raises ValueError when no step n <= n_max is admissible.
     """
     if spec.kind is SpaceKind.BANACH:
         raise ValueError("seminorm families are defined for limit spaces only")
+    steps = spec.admissible_steps(n_max)
+    if not steps:
+        raise ValueError(f"no admissible step n <= {n_max}: the first is "
+                         f"n = {spec.min_step()}")
     out: list[SeminormEntry] = []
-    for n in spec.admissible_steps(n_max):
+    for n in steps:
         mu = spec.step_alpha(n)
         value = float(truncation_norms(f.coeffs, spec.p, mu, [f.degree],
                                        rel_tol=rel_tol)[0])
@@ -340,9 +345,9 @@ def gp_nuclearity_sum(p: float, alpha: float, m: int,
         raise ValueError(
             f"j_max must be >= 128 to give the classifier 4 scan degrees, "
             f"got {j_max}")
-    j = np.arange(1, j_max + 1)
-    ratios = monomial_norm(j, p, alpha + 1.0) / monomial_norm(j, p, alpha + 1.0 / m)
-    sums = np.cumsum(ratios)
+    j = np.arange(1, j_max + 1, dtype=float)
+    sums = np.cumsum(np.exp(_log_monomial_ratio(j, p, alpha + 1.0,
+                                                alpha + 1.0 / m)))
     degrees = scan_degrees(1 << int(math.floor(math.log2(j_max))))
     return _norm_scan(degrees, sums[np.asarray(degrees) - 1])
 

@@ -98,6 +98,30 @@ class TestNormCommand:
         assert code == 2 and out == ""
         assert "rel_tol" in err
 
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_empty_lb_family_exits_2(self, capsys, tmp_path, fmt):
+        # at alpha = 0.2 the first admissible step is floor(1/0.2) + 1 = 6
+        path = tmp_path / "c.json"
+        path.write_text("[[1.0, 0.0], [0.5, 0.1]]")
+        code, out, err = run_cli(capsys, "norm", "--family", "lb",
+                                 "--coeffs-file", str(path), "-p", "2",
+                                 "--alpha", "0.2", "--nmax-steps", "3",
+                                 "--format", fmt)
+        assert code == 2 and out == ""
+        assert "n = 6" in err
+
+    @pytest.mark.parametrize("entry", ["[true, false]", "[0.5, true]",
+                                       "[false, 0]"])
+    @pytest.mark.parametrize("mode", [("--parseval",),
+                                      ("--quadrature", "-p", "1.5")])
+    def test_boolean_coefficient_exits_2(self, capsys, tmp_path, entry, mode):
+        path = tmp_path / "c.json"
+        path.write_text(f"[[1.0, 0.0], {entry}]")
+        code, out, err = run_cli(capsys, "norm", *mode, "--alpha", "1",
+                                 "--coeffs-file", str(path))
+        assert code == 2 and out == ""
+        assert "boolean" in err
+
     def test_bad_coeffs_file(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps([1.0, 2.0]))

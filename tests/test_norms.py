@@ -235,6 +235,66 @@ class TestMonomialNorm:
                 parseval_weights(alpha, 10)
 
 
+def oracle_parseval_weights(alpha, degree):
+    # the per-index expression: one exp(log_beta) for every weight
+    j = np.arange(degree + 1, dtype=float)
+    return 2.0 * np.exp(log_beta(2.0 * j + 2.0, alpha + 1.0))
+
+
+_TINY = np.finfo(float).tiny
+
+
+class TestParsevalWeights:
+    @settings(max_examples=150, deadline=None)
+    @given(degree=st.one_of(st.sampled_from([0, 1, 255, 256, 257, 511, 512]),
+                            st.integers(0, 4 * 256 + 3)),
+           alpha=st.floats(0.0, 60.0))
+    def test_matches_per_index_oracle(self, degree, alpha):
+        got = parseval_weights(alpha, degree)
+        want = oracle_parseval_weights(alpha, degree)
+        assert got.shape == want.shape and got.dtype == np.float64
+        normal = want >= _TINY
+        assert np.all(np.abs(got[normal] - want[normal])
+                      <= 1e-12 * want[normal])
+        assert np.all(got[want == 0.0] == 0.0)
+
+    @pytest.mark.parametrize("alpha", [200.0, 300.0])
+    def test_underflow_gives_zeros(self, alpha):
+        # at large alpha the tail leaves the normal range within a few
+        # blocks; weights the oracle leaves subnormal come back as 0
+        got = parseval_weights(alpha, 2000)
+        want = oracle_parseval_weights(alpha, 2000)
+        normal = want >= _TINY
+        assert 0 < normal.sum() and np.any(want == 0.0)
+        assert np.all(np.abs(got[normal] - want[normal])
+                      <= 1e-12 * want[normal])
+        assert np.all(got[~normal] == 0.0)
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.5, 7.5, 40.0])
+    def test_against_mpmath(self, alpha):
+        # bound: 1e-15 (1 + |log w_j|) relative.  The log-Beta error is
+        # absolute, so exp turns it into a relative error growing with
+        # |log w_j| (near 500 at alpha = 40); at these indices the
+        # per-index expression reaches 3.5e-16 of the same scale and the
+        # recurrence 5.4e-16
+        mpmath = pytest.importorskip("mpmath")
+        top = 1 << 20
+        edges = [k * 256 + d for k in (1, 2, 17, 1000, top // 256 - 1)
+                 for d in (-1, 0, 1)]
+        rng = np.random.default_rng(20)
+        idx = sorted(set([0, 1, 2, top] + edges
+                         + rng.integers(0, top + 1, 40).tolist()))
+        w = parseval_weights(alpha, top)
+        with mpmath.workdps(40):
+            for j in idx:
+                ref = 2 * mpmath.beta(2 * j + 2, mpmath.mpf(alpha) + 1)
+                bound = 1e-15 * (1.0 + abs(float(mpmath.log(ref))))
+                assert abs(w[j] - float(ref)) <= bound * float(ref), j
+
+    def test_empty_below_degree_zero(self):
+        assert parseval_weights(1.0, -1).shape == (0,)
+
+
 class TestParseval:
     def test_constant(self):
         assert abs(norm_parseval(trunc([1]), 0.0) - 1.0) < 1e-14
@@ -365,6 +425,30 @@ class TestInclusionScan:
     def test_identity_inclusion_rejected(self):
         with pytest.raises(ValueError):
             inclusion_ratio_scan(2.0, 1.0, 1.0, 100)
+
+
+class TestParsevalProperties:
+    # norm_parseval against two checks that do not use the weights
+
+    @settings(max_examples=25, deadline=None)
+    @given(re=st.lists(_coeff, min_size=1, max_size=40), data=st.data(),
+           alpha=st.floats(0.0, 8.0))
+    def test_matches_quadrature(self, re, data, alpha):
+        im = data.draw(st.lists(_coeff, min_size=len(re), max_size=len(re)))
+        f = TaylorTruncation(np.array(re) + 1j * np.array(im))
+        # at p = 2 the rule is exact on polynomials (measured agreement
+        # about 1e-14), so 1e-12 leaves margin for rounding only
+        want = norm_quadrature(f, 2.0, alpha, rel_tol=1e-11)
+        got = norm_parseval(f, alpha)
+        assert got == pytest.approx(want, rel=1e-12, abs=1e-300)
+
+    @settings(max_examples=60, deadline=None)
+    @given(re=st.lists(_coeff, min_size=1, max_size=600),
+           alpha=st.floats(0.0, 50.0), step=st.floats(1e-3, 10.0))
+    def test_decreasing_in_alpha(self, re, alpha, step):
+        # (1-|z|)^alpha decreases pointwise in alpha, hence so does the norm
+        f = TaylorTruncation(np.array(re, dtype=complex))
+        assert norm_parseval(f, alpha + step) <= norm_parseval(f, alpha)
 
 
 def test_weight_monotonicity():

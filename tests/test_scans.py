@@ -130,6 +130,14 @@ class TestTruncationNorms:
             assert e.ok and abs(e.value - want) <= len(c) * 2.3e-16 * want
 
 
+    def test_family_without_admissible_step_raises(self):
+        spec = SpaceSpec(2.0, 0.2, SpaceKind.LB_UNION)
+        with pytest.raises(ValueError, match="first is n = 6"):
+            seminorm_family(TaylorTruncation(np.ones(3)), spec, 5)
+        assert [e.n for e in seminorm_family(
+            TaylorTruncation(np.ones(3)), spec, 6)] == [6]
+
+
 class TestClassifier:
     def test_constant_converges(self):
         got = classify_growth(DEGS, [3.7] * len(DEGS))
@@ -284,6 +292,12 @@ class TestGrothendieckPietsch:
     def test_m_validation(self):
         with pytest.raises(ValueError):
             gp_nuclearity_sum(2.0, 1.0, 1)
+
+    @pytest.mark.parametrize("p, alpha", [(math.nan, 1.0), (0.5, 1.0),
+                                          (2.0, math.inf), (2.0, -1.5)])
+    def test_exponent_validation(self, p, alpha):
+        with pytest.raises(ValueError, match="finite p >= 1"):
+            gp_nuclearity_sum(p, alpha, 2, j_max=256)
 
     def test_too_short_to_classify(self):
         with pytest.raises(ValueError, match="j_max must be >= 128"):
