@@ -244,7 +244,7 @@ def _cmd_norm(args: argparse.Namespace) -> int:
         return EXIT_OK
     # seminorm family
     spec = SpaceSpec(args.p, args.alpha, SpaceKind(args.family))
-    entries = seminorm_family(f, spec, args.nmax_steps)
+    entries = seminorm_family(f, spec, args.nmax_steps, args.rel_tol)
     if args.format == "csv":
         rows = [(e.n, e.alpha, e.value) for e in entries]
         _write_output(_csv_rows(rows, ("n", "alpha", "value")), args.out)

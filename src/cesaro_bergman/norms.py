@@ -11,11 +11,15 @@ Gauss-Jacobi radial rule tensored with uniform angular grids whose size is
 graded per radial node.
 
 The Parseval weights w_j = 2 B(2j+2, alpha+1) follow the two-term recurrence
-w_j = w_{j-1} a(a+1) / ((a+b)(a+1+b)), a = 2j, b = alpha+1.  Each block of
-256 indices is anchored on one log-Beta value and filled by a cumulative
-product of the ratios; against mpmath at indices up to 2^20 the weights are
-within 7.5e-15 (alpha = 0.5), 1.9e-14 (7.5) and 2.4e-13 (40) relative, as
-close as exp(log_beta) per index.
+w_j = w_{j-1} a(a+1) / ((a+b)(a+1+b)), a = 2j, b = alpha+1, anchored on one
+log-Beta value per block of 256 indices (see parseval_weights for errors).
+
+Node r keeps c_j z^j up to its effective degree, the last j with |c_j| r^j
+> cut max_k |c_k| r^k, cut = rel_tol 1e-3 / N for N coefficients.  That max
+is <= ||f_r||_{L^1(dtheta/2pi)} <= ||f_r||_p, also in the trapezoid sums
+(their grids exceed the kept degree), so the dropped terms move f_r by <= N
+cut ||f_r||_p and, by Minkowski, the norm by <= rel_tol / 1000.  Effective
+degree and argmax are nondecreasing in r: nodes are graded outside-in.
 """
 
 from __future__ import annotations
@@ -213,8 +217,8 @@ class DiskQuadrature:
     radial_nodes/radial_weights absorb the weight (1-r)^alpha r on [0, 1];
     angular_base is the minimum uniform angular grid size.  Per radial node
     the angular size is a power of two >= p * eff / 2 + 1 at even p (alias
-    bound: exact for |f|^p) and >= 4 p (eff + 1) at every other p, with eff
-    the effective degree there; rel_error_estimate is set by the driver.
+    bound: exact for |f|^p) and >= 4 p (eff + 1) at every other p; eff is the
+    effective degree (cut rel_tol/1000N); the driver sets rel_error_estimate.
     """
 
     alpha: float
@@ -242,25 +246,32 @@ class DiskQuadrature:
 # p, where the trapezoid rule is exact for |f|^p = |f^{p/2}|^2 of degree
 # p * eff / 2, and T >= _ANGULAR_FACTOR * p * (eff + 1) at every other p
 _ANGULAR_FACTOR = 4.0
-# per-node coefficient cutoff relative to the largest scaled coefficient;
-# dropped terms perturb f by < 1e-16 of the attained norm scale
-_LOG_CUTOFF = math.log(1e-20)
+_GRADE_ELEMENTS = 1 << 16  # terms per grading chunk: one for degree <= 8
 _BATCH_ELEMENTS = 1 << 22
 
 
-def _pnorm_single_pass(coeffs: np.ndarray, p: float, quad: DiskQuadrature) -> float:
-    logr = np.log(quad.radial_nodes)
+def _effective_degrees(coeffs, logr, log_cut: float) -> np.ndarray:
+    # the ascending nodes in chunks from the outermost inward, each over the
+    # columns 0..eff of the node just outside it
     js = np.arange(len(coeffs), dtype=float)
     with np.errstate(divide="ignore"):
         logc = np.log(np.abs(coeffs))
-    # effective degree per node: the last j with log|c_j| + j log r > max + cut
     eff = np.empty(len(logr), dtype=int)
-    rows = max(1, _BATCH_ELEMENTS // len(js))
-    for k in range(0, len(logr), rows):
-        scaled = np.outer(logr[k:k + rows], js)
-        scaled += logc
-        keep = scaled > scaled.max(axis=1, keepdims=True) + _LOG_CUTOFF
-        eff[k:k + rows] = len(js) - 1 - np.argmax(keep[:, ::-1], axis=1)
+    hi, width = len(logr), len(js)
+    while hi > 0:
+        lo = max(0, hi - max(1, _GRADE_ELEMENTS // width))
+        scaled = np.outer(logr[lo:hi], js[:width])
+        scaled += logc[:width]
+        keep = scaled > scaled.max(axis=1, keepdims=True) + log_cut
+        eff[lo:hi] = width - 1 - np.argmax(keep[:, ::-1], axis=1)
+        hi, width = lo, int(eff[lo]) + 1
+    return eff
+
+
+def _pnorm_single_pass(coeffs: np.ndarray, p: float, quad: DiskQuadrature,
+                       log_cut: float) -> float:
+    logr = np.log(quad.radial_nodes)
+    eff = _effective_degrees(coeffs, logr, log_cut)
     need = (p * eff / 2.0 + 1.0 if p % 2.0 == 0.0
             else _ANGULAR_FACTOR * p * (eff + 1.0))
     ang = 1 << np.maximum(np.ceil(np.log2(need)),
@@ -278,7 +289,7 @@ def _pnorm_single_pass(coeffs: np.ndarray, p: float, quad: DiskQuadrature) -> fl
             sel = idx[k:k + batch]
             jtop = int(eff[sel].max())
             block = coeffs[: jtop + 1] * np.exp(
-                np.outer(logr[sel], js[: jtop + 1]))
+                np.outer(logr[sel], np.arange(jtop + 1.0)))
             vals = np.abs((_fft.rfft if real else _fft.fft)(block, n=t, axis=1))
             vals **= p
             total += float(np.dot(quad.radial_weights[sel], vals @ mean))
@@ -302,8 +313,8 @@ def norm_quadrature_with_rule(
     the requested tolerance.
     """
     _check_exponents(p, alpha)
-    if not rel_tol > 0.0:
-        raise ValueError(f"rel_tol must be positive, got {rel_tol}")
+    if not 0.0 < rel_tol < 1.0:
+        raise ValueError(f"rel_tol must lie in (0, 1), got {rel_tol}")
     coeffs = np.asarray(f.coeffs, dtype=complex)
     if quad is not None and abs(quad.alpha - alpha) > 1e-12:
         raise ValueError("quadrature was built for a different alpha")
@@ -318,12 +329,14 @@ def norm_quadrature_with_rule(
     if not np.any(coeffs):
         rule = DiskQuadrature.build(alpha, radial, angular_base)
         return 0.0, replace(rule, rel_error_estimate=0.0)
+    # per-node cutoff, biasing the norm by at most rel_tol / 1000
+    log_cut = math.log(rel_tol * 1e-3 / len(coeffs))
     prev = None
     value = math.nan
     rel_change = math.inf
     while radial <= max_radial:
         rule = DiskQuadrature.build(alpha, radial, angular_base)
-        value = _pnorm_single_pass(coeffs, p, rule)
+        value = _pnorm_single_pass(coeffs, p, rule, log_cut)
         if prev is not None:
             rel_change = abs(value - prev) / max(abs(value), 1e-300)
             if rel_change <= rel_tol:

@@ -229,10 +229,12 @@ def seminorm_family(
 
     Entries where the quadrature fails to converge are marked ok=False (value
     nan) instead of aborting the family; p = 2 uses Parseval summation.
-    Raises ValueError when no step n <= n_max is admissible.
+    Raises ValueError on rel_tol outside (0, 1) or no admissible n <= n_max.
     """
     if spec.kind is SpaceKind.BANACH:
         raise ValueError("seminorm families are defined for limit spaces only")
+    if not 0.0 < rel_tol < 1.0:
+        raise ValueError(f"rel_tol must lie in (0, 1), got {rel_tol}")
     steps = spec.admissible_steps(n_max)
     if not steps:
         raise ValueError(f"no admissible step n <= {n_max}: the first is "

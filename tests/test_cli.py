@@ -5,7 +5,7 @@ import time
 import numpy as np
 import pytest
 
-from cesaro_bergman import cli, norms
+from cesaro_bergman import cli, norms, scans, series
 
 
 def run_cli(capsys, *argv):
@@ -88,7 +88,7 @@ class TestNormCommand:
         assert code == 2 and out == ""
         assert "finite" in err and time.time() - start < 0.5
 
-    @pytest.mark.parametrize("rel_tol", ["nan", "-1", "0"])
+    @pytest.mark.parametrize("rel_tol", ["nan", "-1", "0", "inf", "1"])
     def test_bad_rel_tol_exits_2(self, capsys, tmp_path, rel_tol):
         path = tmp_path / "c.json"
         path.write_text("[[1.0, 0.0], [0.5, 0.0]]")
@@ -97,6 +97,38 @@ class TestNormCommand:
                                  f"--rel-tol={rel_tol}")
         assert code == 2 and out == ""
         assert "rel_tol" in err
+
+    @pytest.mark.parametrize("rel_tol", ["nan", "0", "inf", "1"])
+    @pytest.mark.parametrize("mode", [("frechet", "2"), ("lb", "3")])
+    def test_family_bad_rel_tol_exits_2(self, capsys, tmp_path, mode,
+                                        rel_tol):
+        # refused at p = 2 too, where the family sums by Parseval
+        path = tmp_path / "c.json"
+        path.write_text("[[1.0, 0.0], [0.5, 0.0]]")
+        code, out, err = run_cli(capsys, "norm", "--family", mode[0],
+                                 "-p", mode[1], "--alpha", "1",
+                                 "--coeffs-file", str(path),
+                                 f"--rel-tol={rel_tol}")
+        assert code == 2 and out == ""
+        assert "rel_tol" in err
+
+    def test_family_uses_rel_tol(self, capsys, tmp_path):
+        # the family must be computed at the given tolerance: for this
+        # truncation its values at 1e-2 differ from those at the default 1e-9
+        f = series.eigenfunction_truncation(2, 15)
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps([[c.real, c.imag] for c in f.coeffs]))
+        code, out, _ = run_cli(capsys, "norm", "--family", "frechet",
+                               "-p", "1.5", "--alpha", "1",
+                               "--nmax-steps", "2", "--coeffs-file", str(path),
+                               "--rel-tol", "1e-2")
+        assert code == 0
+        got = [e["value"] for e in json.loads(out)["entries"]]
+        spec = norms.SpaceSpec(1.5, 1.0, norms.SpaceKind.FRECHET_INTERSECTION)
+        loose = scans.seminorm_family(f, spec, 2, 1e-2)
+        assert got == [e.value for e in loose]
+        tight = [e.value for e in scans.seminorm_family(f, spec, 2)]
+        assert all(abs(g - t) > 1e-10 * t for g, t in zip(got, tight))
 
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     def test_empty_lb_family_exits_2(self, capsys, tmp_path, fmt):

@@ -24,7 +24,12 @@ from cesaro_bergman.norms import (
     parseval_weights,
 )
 from cesaro_bergman.scans import seminorm_family
-from cesaro_bergman.series import BinomialSign, TaylorTruncation, binomial_series_coeffs
+from cesaro_bergman.series import (
+    BinomialSign,
+    TaylorTruncation,
+    binomial_series_coeffs,
+    eigenfunction_truncation,
+)
 
 
 def trunc(seq):
@@ -99,7 +104,19 @@ class TestLogBetaOracle:
         assert log_beta(np.array(40.0), 3.0).shape == ()
 
 
-def oracle_pnorm_single_pass(coeffs, p, quad):
+def oracle_effective_degrees(coeffs, logr, log_cut):
+    # full-width grading: every node against every coefficient, the last j
+    # with log|c_j| + j log r > max + log_cut
+    js = np.arange(len(coeffs), dtype=float)
+    with np.errstate(divide="ignore"):
+        logc = np.log(np.abs(coeffs))
+    scaled = np.outer(logr, js)
+    scaled += logc
+    keep = scaled > scaled.max(axis=1, keepdims=True) + log_cut
+    return len(js) - 1 - np.argmax(keep[:, ::-1], axis=1)
+
+
+def oracle_pnorm_single_pass(coeffs, p, quad, cut):
     # the per-node loop: grading by linear-scale cutoff, complex FFTs at
     # T >= 4 p (eff + 1) for every p; the library pass must agree with it to
     # rounding
@@ -119,7 +136,7 @@ def oracle_pnorm_single_pass(coeffs, p, quad):
             eff_deg[i] = 0
             ang[i] = quad.angular_base
             continue
-        keep = np.nonzero(scaled > 1e-20 * top)[0]
+        keep = np.nonzero(scaled > cut * top)[0]
         eff_deg[i] = int(keep[-1])
         need = 4.0 * p * (eff_deg[i] + 1)
         ang[i] = 1 << max(int(math.ceil(math.log2(max(need, 2.0)))),
@@ -144,6 +161,42 @@ _coeff = st.one_of(st.just(0.0),
                    st.integers(-1000, 1000).map(lambda k: k / 1000.0))
 
 
+def _eff_coeffs(data, kind, complex_, trailing):
+    # lattice values with exact zeros, geometric decay down to 1e-300 or
+    # eigenfunction coefficients, then trailing zeros
+    if kind == "eigen":
+        m = data.draw(st.integers(1, 6))
+        coeffs = eigenfunction_truncation(
+            m, data.draw(st.integers(m - 1, 3000))).coeffs
+    else:
+        re = data.draw(st.lists(_coeff, min_size=1, max_size=600))
+        coeffs = np.array(re, dtype=complex)
+        if complex_:
+            coeffs += 1j * np.array(data.draw(st.lists(
+                _coeff, min_size=len(re), max_size=len(re))))
+        if kind == "decay":
+            span = data.draw(st.floats(0.0, 300.0)) / max(1, len(re) - 1)
+            coeffs *= 10.0 ** (-span * np.arange(len(re)))
+    return np.concatenate([coeffs, np.zeros(trailing, dtype=complex)])
+
+
+class TestEffectiveDegreesOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), kind=st.sampled_from(["lattice", "decay", "eigen"]),
+           complex_=st.booleans(), trailing=st.integers(0, 40),
+           radial=st.integers(2, 1024), decades=st.floats(5.0, 25.0),
+           alpha=st.sampled_from([0.0, 1.0, 3.5]))
+    def test_matches_full_width(self, data, kind, complex_, trailing, radial,
+                                decades, alpha):
+        # outside-in chunks over shrinking column windows give the same
+        # effective degrees as grading every node over every coefficient
+        coeffs = _eff_coeffs(data, kind, complex_, trailing)
+        logr = np.log(DiskQuadrature.build(alpha, radial).radial_nodes)
+        log_cut = -decades * math.log(10.0)
+        assert np.array_equal(norms._effective_degrees(coeffs, logr, log_cut),
+                              oracle_effective_degrees(coeffs, logr, log_cut))
+
+
 class TestSinglePassOracle:
     @settings(max_examples=60, deadline=None)
     @given(re=st.lists(_coeff, min_size=1, max_size=301), data=st.data(),
@@ -163,9 +216,11 @@ class TestSinglePassOracle:
         # that the per-node cutoff drops terms
         coeffs *= decay ** np.arange(len(coeffs))
         quad = DiskQuadrature.build(alpha, radial)
-        got = norms._pnorm_single_pass(coeffs, p, quad)
-        want = oracle_pnorm_single_pass(coeffs, p, quad)
-        assert got == pytest.approx(want, rel=1e-13, abs=0.0)
+        # the fixed 1e-20 of earlier releases and the cutoff tied to 5e-5
+        for cut in (1e-20, 5e-5 * 1e-3 / len(coeffs)):
+            got = norms._pnorm_single_pass(coeffs, p, quad, math.log(cut))
+            want = oracle_pnorm_single_pass(coeffs, p, quad, cut)
+            assert got == pytest.approx(want, rel=1e-13, abs=0.0)
 
     @pytest.mark.parametrize("zeros", [(0.5, -0.6, 0.2),
                                        (0.5, -0.3j, 0.7 + 0.1j)])
@@ -187,7 +242,8 @@ class TestSinglePassOracle:
             fft=recorded(scipy.fft.fft), rfft=recorded(scipy.fft.rfft)))
         for alpha in (0.0, 1.0, 2.5):
             quad = DiskQuadrature.build(alpha, 16, angular_base=2)
-            got = norms._pnorm_single_pass(coeffs, 4.0, quad)
+            got = norms._pnorm_single_pass(coeffs, 4.0, quad,
+                                           math.log(1e-20))
             want = math.sqrt(norm_parseval(
                 TaylorTruncation(np.convolve(coeffs, coeffs)), alpha))
             assert got == pytest.approx(want, rel=1e-12)
@@ -357,12 +413,86 @@ class TestQuadrature:
         with pytest.raises(ValueError):
             norm_quadrature(trunc([1, 1]), 2.0, 2.0, quad=quad)
 
-    @pytest.mark.parametrize("rel_tol", [math.nan, -1.0, 0.0])
+    @pytest.mark.parametrize("rel_tol", [math.nan, -1.0, 0.0, math.inf, 1.0])
     def test_bad_rel_tol_rejected(self, rel_tol):
         # refused before any pass: a bad tolerance used to run the doubling
         # to max_radial and end in NonConvergedQuadrature
         with pytest.raises(ValueError, match="rel_tol"):
             norm_quadrature_with_rule(trunc([1, 1]), 3.0, 1.0, rel_tol=rel_tol)
+
+
+def _zeros_inside(rng, degree):
+    # monic polynomial with its zeros drawn uniformly from the disk
+    zeros = np.sqrt(rng.uniform(0.0, 1.0, degree)) * np.exp(
+        2j * np.pi * rng.uniform(size=degree))
+    return np.poly(zeros)[::-1].astype(complex)
+
+
+def _tied_pass(coeffs, p, alpha, rel_tol, radial):
+    # with max_radial = radial the driver runs one pass, at its own cutoff
+    quad = DiskQuadrature.build(alpha, radial)
+    with pytest.raises(NonConvergedQuadrature) as exc:
+        norm_quadrature_with_rule(TaylorTruncation(coeffs), p, alpha,
+                                  quad=quad, rel_tol=rel_tol,
+                                  max_radial=radial)
+    return exc.value.last_value, quad
+
+
+class TestTiedCutoff:
+    # per radial node the driver drops the terms below rel_tol 1e-3 / N of
+    # the largest |c_j| r^j; that moves the norm by at most rel_tol / 1000
+
+    @pytest.mark.parametrize("rel_tol", [5e-5, 1e-9])
+    @pytest.mark.parametrize("p", [1.5, 3.0, 4.0])
+    def test_eigen_bias_within_bound(self, p, rel_tol):
+        for m in (1, 2, 3):
+            for n in (1 << 6, 1 << 10, 1 << 13):
+                coeffs = eigenfunction_truncation(m, n - 1).coeffs
+                tied, quad = _tied_pass(coeffs, p, 1.0, rel_tol, 128)
+                full = norms._pnorm_single_pass(coeffs, p, quad,
+                                                math.log(1e-20))
+                assert abs(tied - full) <= rel_tol / 1000 * full
+
+    @pytest.mark.parametrize("rel_tol", [5e-5, 1e-9])
+    def test_zeros_inside_bias_within_bound(self, rel_tol):
+        rng = np.random.default_rng(17)
+        for _ in range(20):
+            coeffs = _zeros_inside(rng, int(rng.integers(1, 41)))
+            for p in (1.5, 3.0):
+                tied, quad = _tied_pass(coeffs, p, 0.5, rel_tol, 64)
+                full = norms._pnorm_single_pass(coeffs, p, quad,
+                                                math.log(1e-20))
+                assert abs(tied - full) <= rel_tol / 1000 * full
+
+    @pytest.mark.parametrize("rel_tol", [5e-5, 1e-9])
+    @pytest.mark.parametrize("p", [1.5, 3.0])
+    @pytest.mark.parametrize("case", ["eigen", "decay"])
+    def test_dropped_terms_within_bound(self, monkeypatch, case, p, rel_tol):
+        # the step the bias bound rests on: at every node the dropped terms
+        # sum to at most rel_tol / 1000 of the node's discrete L^p norm
+        if case == "eigen":
+            coeffs = eigenfunction_truncation(2, (1 << 13) - 1).coeffs
+        else:
+            rng = np.random.default_rng(23)
+            coeffs = rng.normal(size=512) * 0.95 ** np.arange(512) + 0j
+        seen = []
+        grade = norms._effective_degrees
+
+        def spy(c, logr, log_cut):
+            seen.append(grade(c, logr, log_cut))
+            return seen[-1]
+
+        monkeypatch.setattr(norms, "_effective_degrees", spy)
+        _, quad = _tied_pass(coeffs, p, 1.0, rel_tol, 64)
+        r = quad.radial_nodes[:, None]
+        terms = np.abs(coeffs) * r ** np.arange(len(coeffs))
+        dropped = np.where(np.arange(len(coeffs)) > seen[0][:, None],
+                           terms, 0.0).sum(axis=1)
+        grid = 1 << int(math.ceil(math.log2(2 * len(coeffs))))
+        vals = np.abs(scipy.fft.fft(coeffs * r ** np.arange(len(coeffs)),
+                                    n=grid, axis=1))
+        node_norm = np.mean(vals ** p, axis=1) ** (1.0 / p)
+        assert np.all(dropped <= rel_tol / 1000 * node_norm)
 
 
 class TestSpaceSpec:
@@ -408,6 +538,13 @@ class TestSeminormFamily:
     def test_banach_rejected(self):
         with pytest.raises(ValueError):
             seminorm_family(trunc([1.0]), SpaceSpec(2.0, 1.0), 3)
+
+    @pytest.mark.parametrize("rel_tol", [math.nan, 0.0, math.inf, 1.0])
+    def test_bad_rel_tol_rejected_at_p2(self, rel_tol):
+        # Parseval sums use no tolerance, but a bad one is still refused
+        spec = SpaceSpec(2.0, 1.0, SpaceKind.FRECHET_INTERSECTION)
+        with pytest.raises(ValueError, match="rel_tol"):
+            seminorm_family(trunc([1.0]), spec, 3, rel_tol)
 
 
 class TestInclusionScan:
