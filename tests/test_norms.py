@@ -1,4 +1,6 @@
+import json
 import math
+import pathlib
 import types
 
 import numpy as np
@@ -403,10 +405,58 @@ class TestQuadrature:
             assert abs(total - expect) / expect < 1e-12
 
     def test_nonconvergence_raises(self):
+        # |f|^3 (1-|z|)^2 with f = (1+z)^-1.25 is barely integrable: the
+        # passes at 256 and 512 radial nodes differ by about 8e-10
         s = (2.0 + 1.0 - 0.5) / 2.0
         f = binomial_series_coeffs(s, BinomialSign.PLUS_Z, 4000)
+        with pytest.raises(NonConvergedQuadrature) as exc:
+            norm_quadrature(f, 3.0, 2.0, rel_tol=1e-10, max_radial=512)
+        assert math.isfinite(exc.value.last_value)
+        assert 1e-10 < exc.value.rel_change < 1e-8
+
+    @pytest.mark.parametrize("n, first", [
+        (1, 32), (2, 32), (9, 32), (64, 32), (65, 64), (257, 128),
+        (1025, 256), (20000, 512)])
+    def test_first_radial_count(self, monkeypatch, n, first):
+        # the power of two at or above max(32, 4 sqrt(N)), capped at 512
+        counts = []
+        single = norms._pnorm_single_pass
+
+        def spy(coeffs, p, quad, log_cut):
+            counts.append(quad.radial_count)
+            return single(coeffs, p, quad, log_cut)
+
+        monkeypatch.setattr(norms, "_pnorm_single_pass", spy)
         with pytest.raises(NonConvergedQuadrature):
-            norm_quadrature(f, 2.0, 2.0, rel_tol=1e-15, max_radial=128)
+            norm_quadrature_with_rule(trunc(np.ones(n)), 3.0, 1.0,
+                                      rel_tol=1e-9, max_radial=first)
+        assert counts == [first]
+
+    @pytest.mark.parametrize("n, max_radial", [(2, 16), (64, 16), (65, 32),
+                                               (4001, 128)])
+    def test_max_radial_below_first_count_rejected(self, n, max_radial):
+        # refused before any pass: it used to raise NonConvergedQuadrature
+        # with a NaN value without evaluating anything
+        with pytest.raises(ValueError, match="max_radial"):
+            norm_quadrature_with_rule(trunc(np.ones(n)), 3.0, 1.0,
+                                      max_radial=max_radial)
+
+    def test_max_radial_below_given_rule_rejected(self):
+        with pytest.raises(ValueError, match="max_radial"):
+            norm_quadrature_with_rule(trunc([1, 1]), 3.0, 1.0,
+                                      quad=DiskQuadrature.build(1.0, 64),
+                                      max_radial=32)
+
+    @pytest.mark.parametrize("base", [0, -4, 1, 3, 100, 2.5, math.nan,
+                                      math.inf])
+    def test_bad_angular_base_rejected(self, base):
+        with pytest.raises(ValueError, match="angular_base"):
+            DiskQuadrature.build(1.0, 16, angular_base=base)
+
+    @pytest.mark.parametrize("base", [2, 64, 1024])
+    def test_angular_base_powers_of_two_accepted(self, base):
+        assert DiskQuadrature.build(1.0, 16, angular_base=base).angular_base \
+            == base
 
     def test_alpha_mismatch_rejected(self):
         quad = DiskQuadrature.build(1.0, 64)
@@ -419,6 +469,55 @@ class TestQuadrature:
         # to max_radial and end in NonConvergedQuadrature
         with pytest.raises(ValueError, match="rel_tol"):
             norm_quadrature_with_rule(trunc([1, 1]), 3.0, 1.0, rel_tol=rel_tol)
+
+
+REFS_FILE = (pathlib.Path(__file__).resolve().parents[1] / "perfbench"
+             / "user_norm_refs.json")
+
+
+def test_pool_norms_match_references():
+    # the 96 p != 2 pool values of perfbench/user_norm_refs.json, computed
+    # apart from the library by nested QAWS and mpmath
+    doc = json.loads(REFS_FILE.read_text(encoding="utf-8"))
+    checked = 0
+    for entry in doc["pool"]:
+        f = trunc([complex(*c) for c in entry["coeffs"]])
+        for p, by_alpha in entry["refs"].items():
+            for alpha, ref in by_alpha.items():
+                value = norm_quadrature(f, float(p), float(alpha),
+                                        rel_tol=1e-9)
+                assert abs(value - ref) <= 1e-9 * ref
+                checked += 1
+    assert checked == 96
+
+
+def test_small_inputs_track_the_64_node_start():
+    # N <= 64 coefficients start at 32 radial nodes, where they started at
+    # 64 before; DiskQuadrature.build(alpha, 64) reproduces the old start.
+    # A value may differ from the old start by more than rel_tol only where
+    # the old value is itself off (an interior zero that the unrefined
+    # angular grids do not resolve): there it must be no farther from a fine
+    # reference than the old value plus rel_tol.
+    rng = np.random.default_rng(5)
+    for _ in range(400):
+        degree = int(rng.integers(1, 64))
+        inside = int(rng.integers(1, degree + 1))
+        mod = np.concatenate([rng.uniform(0.05, 1.0, inside),
+                              rng.uniform(1.0, 3.0, degree - inside)])
+        c = np.poly(mod * np.exp(2j * np.pi * rng.uniform(size=degree)))
+        c = c[::-1].astype(complex) / np.abs(c).max()
+        p = float(rng.choice([1.5, 3.0]))
+        alpha = float(rng.choice([0.5, 1.0, 2.0, 5.0]))
+        rel_tol = float(rng.choice([1e-6, 1e-9]))
+        f = TaylorTruncation(c)
+        new, _ = norm_quadrature_with_rule(f, p, alpha, rel_tol=rel_tol)
+        old, _ = norm_quadrature_with_rule(
+            f, p, alpha, quad=DiskQuadrature.build(alpha, 64), rel_tol=rel_tol)
+        if abs(new - old) <= rel_tol * old:
+            continue
+        fine = DiskQuadrature.build(alpha, 2048, angular_base=1 << 15)
+        ref = norms._pnorm_single_pass(c, p, fine, math.log(1e-25))
+        assert abs(new - ref) <= abs(old - ref) + rel_tol * ref
 
 
 def _zeros_inside(rng, degree):

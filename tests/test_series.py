@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cesaro_bergman.series import (
     BinomialSign,
@@ -89,6 +91,28 @@ class TestCesaroInverse:
     def test_degree_precondition(self):
         with pytest.raises(ValueError):
             cesaro_inverse_apply(trunc([1.0]))
+
+
+# an exact zero, or a complex number of modulus 1e-200 to 1e200
+_COEFF = st.one_of(
+    st.just(0j),
+    st.builds(lambda e, phase: 10.0 ** e * complex(math.cos(phase),
+                                                   math.sin(phase)),
+              st.floats(-200.0, 200.0), st.floats(0.0, 2.0 * math.pi)))
+
+
+class TestRoundTripProperty:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(_COEFF, min_size=2, max_size=401))
+    def test_inverse_and_recovery_undo_cesaro(self, coeffs):
+        c = np.array(coeffs, dtype=complex)
+        bound = 4.0 * np.finfo(float).eps * len(c) * np.abs(c).max()
+        g = cesaro_apply(TaylorTruncation(c))
+        back = cesaro_inverse_apply(g).coeffs
+        assert np.all(np.abs(back - c) <= bound)
+        rec = recover_from_cesaro(g).coeffs
+        assert len(rec) == len(c) - 1
+        assert np.all(np.abs(rec - c[:-1]) <= bound)
 
 
 class TestRecoverFromCesaro:
