@@ -569,6 +569,8 @@ def _validate_scan_args(args: argparse.Namespace) -> str | None:
         return None
     if args.target == "eigen" and not args.m_list and args.m is None:
         return "scan eigen requires -m or --m-list"
+    if args.jobs < 1:
+        return f"--jobs must be >= 1, got {args.jobs}"
     if args.target == "schauder":
         if args.function == "eigenfunction" and args.m is None:
             return "schauder --function eigenfunction requires -m"

@@ -313,17 +313,26 @@ def norm_quadrature_with_rule(
 
     Doubles the radial count (re-grading the angular grids accordingly) until
     two successive values agree to rel_tol.  Without quad the first count is
-    the power of two at or above max(32, 4 sqrt(N)) for N coefficients,
-    capped at 512: 4 sqrt(N) resolves the 1/N boundary layer, and the floor
-    of 32 spares small inputs the 64- and 128-node rule builds.  On 1600
-    seeded polynomials of degree < 64 with zeros inside the disk, a start at
-    32 was never more than 0.52 rel_tol farther from a fine reference than
-    the old start at 64; with a floor of 16 one value was 2.1 rel_tol
-    farther, while its estimate read 0.64 rel_tol.  Raises ValueError when
-    max_radial is below the first count, and
-    :class:`NonConvergedQuadrature` when max_radial is reached without
-    agreement, which signals an integrand too singular at the boundary for
-    the requested tolerance.
+    min(512, max(32, ceil(4 sqrt(N)))) for N coefficients: 4 sqrt(N)
+    resolves the 1/N boundary layer, and the floor of 32 spares small inputs
+    the 64- and 128-node rule builds.  On 1600 seeded polynomials of degree
+    < 64 with zeros inside the disk, a start at 32 was never more than 0.52
+    rel_tol farther from a fine reference than a start at 64; with a floor of
+    16 one value was 2.1 rel_tol farther, while its estimate read 0.64
+    rel_tol.  Rounding 4 sqrt(N) up to a power of two, as before, started
+    scan degree 2^k (N = 2^k + 1) at 5.7 to 8 sqrt(N): eigen scans at
+    N_max = 2^13 ran the same passes on 1.6 times the radial nodes.  3 sqrt(N)
+    or the power of two at or above 2 sqrt(N) added passes to divergent
+    scans.
+
+    When the next doubling would pass max_radial, the last pass runs at
+    max_radial itself if that is at least 1.5 times the current count, and
+    the doubling stops otherwise (a smaller step would barely refine the
+    value, so two passes would agree by construction).  Raises ValueError
+    when max_radial is below the first count, and
+    :class:`NonConvergedQuadrature`, naming the last pass's count, when no
+    two passes agree, which signals an integrand too singular at the
+    boundary for the requested tolerance.
     """
     _check_exponents(p, alpha)
     if not 0.0 < rel_tol < 1.0:
@@ -335,8 +344,7 @@ def norm_quadrature_with_rule(
         radial = quad.radial_count
         angular_base = quad.angular_base
     else:
-        radial = min(512, 1 << int(math.ceil(
-            math.log2(max(32.0, 4.0 * math.sqrt(len(coeffs)))))))
+        radial = min(512, max(32, math.ceil(4.0 * math.sqrt(len(coeffs)))))
         angular_base = 64
     if max_radial < radial:
         raise ValueError(f"max_radial={max_radial} is below the first radial "
@@ -347,9 +355,8 @@ def norm_quadrature_with_rule(
     # per-node cutoff, biasing the norm by at most rel_tol / 1000
     log_cut = math.log(rel_tol * 1e-3 / len(coeffs))
     prev = None
-    value = math.nan
     rel_change = math.inf
-    while radial <= max_radial:
+    while True:
         rule = DiskQuadrature.build(alpha, radial, angular_base)
         value = _pnorm_single_pass(coeffs, p, rule, log_cut)
         if prev is not None:
@@ -357,10 +364,15 @@ def norm_quadrature_with_rule(
             if rel_change <= rel_tol:
                 return value, replace(rule, rel_error_estimate=rel_change)
         prev = value
-        radial *= 2
+        if 2 * radial <= max_radial:
+            radial *= 2
+        elif 2 * max_radial >= 3 * radial:
+            radial = max_radial
+        else:
+            break
     raise NonConvergedQuadrature(
-        f"no agreement to rel_tol={rel_tol:g} within {max_radial} radial nodes",
-        last_value=value, rel_change=rel_change)
+        f"no agreement to rel_tol={rel_tol:g} by the last pass, at {radial} "
+        "radial nodes", last_value=value, rel_change=rel_change)
 
 
 def norm_quadrature(

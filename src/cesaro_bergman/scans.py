@@ -122,7 +122,9 @@ def classify_growth(
     Converged: the last two relative increments are below tol_conv, or the
     sequence decreases (tail scans).  Divergent labels come from comparing a
     power law log v = a + b log N against v = a + b log N over the last half
-    of the points; the better model wins if its own R^2 exceeds r2_min.
+    of the points, and over the last 3 when the half has fewer (a two-point
+    fit would report R^2 = 1); the better model wins if its own R^2 exceeds
+    r2_min.
     """
     d = np.asarray(degrees, dtype=float)
     v = np.asarray(values, dtype=float)
@@ -139,9 +141,9 @@ def classify_growth(
     rel_inc = np.abs(diffs) / np.maximum(v[1:], 1e-300)
     if rel_inc[-1] < tol_conv and rel_inc[-2] < tol_conv:
         return GrowthClass(GrowthKind.CONVERGED)
-    half = len(v) // 2
-    x = np.log(d[half:])
-    y = v[half:]
+    start = min(len(v) // 2, len(v) - 3)
+    x = np.log(d[start:])
+    y = v[start:]
     if np.any(y <= 0.0):
         return GrowthClass(GrowthKind.UNDETERMINED)
     ly = np.log(y)

@@ -386,6 +386,26 @@ class TestScanCommand:
         assert kinds[1] == "converged"
         assert kinds[3] == "power_divergent"
 
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_eigen_jobs_below_one_exits_2(self, capsys, monkeypatch, jobs):
+        # refused before any scan runs; it used to run serially and exit 0
+        monkeypatch.setattr(cli, "eigen_membership_scan", None)
+        code, out, err = run_cli(capsys, "scan", "eigen", "--m-list", "1,2",
+                                 "-p", "2", "--alpha", "1", "--nmax", "128",
+                                 "--jobs", jobs)
+        assert code == 2 and out == "" and "--jobs" in err
+
+    def test_four_degree_scan_fits_three_points(self, capsys):
+        # the last half of 4 degrees is 2 points, which any line fits
+        # exactly: this scan used to print r_squared 1 and stderr 9e-16
+        code, out, _ = run_cli(capsys, "scan", "eigen", "--m-list", "1,2",
+                               "-p", "2", "--alpha", "1", "--nmax", "128")
+        assert code == 0
+        fit = json.loads(out)["results"][1]["classification"]
+        assert fit["kind"] == "power_divergent"
+        assert 0.5 < fit["exponent"] < 0.6
+        assert fit["stderr"] > 1e-3 and fit["r_squared"] < 0.9999
+
     def test_missing_coeffs_file(self, capsys):
         code, _, err = run_cli(capsys, "norm", "--quadrature",
                                "-p", "2", "--alpha", "1")

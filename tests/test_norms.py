@@ -406,7 +406,7 @@ class TestQuadrature:
 
     def test_nonconvergence_raises(self):
         # |f|^3 (1-|z|)^2 with f = (1+z)^-1.25 is barely integrable: the
-        # passes at 256 and 512 radial nodes differ by about 8e-10
+        # passes at 254 and 508 radial nodes differ by about 1.7e-10
         s = (2.0 + 1.0 - 0.5) / 2.0
         f = binomial_series_coeffs(s, BinomialSign.PLUS_Z, 4000)
         with pytest.raises(NonConvergedQuadrature) as exc:
@@ -414,23 +414,49 @@ class TestQuadrature:
         assert math.isfinite(exc.value.last_value)
         assert 1e-10 < exc.value.rel_change < 1e-8
 
-    @pytest.mark.parametrize("n, first", [
-        (1, 32), (2, 32), (9, 32), (64, 32), (65, 64), (257, 128),
-        (1025, 256), (20000, 512)])
-    def test_first_radial_count(self, monkeypatch, n, first):
-        # the power of two at or above max(32, 4 sqrt(N)), capped at 512
+    @staticmethod
+    def _pass_counts(monkeypatch, n, max_radial):
+        # radial counts of the passes of a run whose values never agree; the
+        # rules and passes are stand-ins, so large counts cost nothing
         counts = []
-        single = norms._pnorm_single_pass
 
         def spy(coeffs, p, quad, log_cut):
             counts.append(quad.radial_count)
-            return single(coeffs, p, quad, log_cut)
+            return float(len(counts))
 
+        monkeypatch.setattr(norms, "_radial_rule",
+                            lambda alpha, count: (np.ones(count),) * 2)
         monkeypatch.setattr(norms, "_pnorm_single_pass", spy)
-        with pytest.raises(NonConvergedQuadrature):
+        with pytest.raises(NonConvergedQuadrature) as exc:
             norm_quadrature_with_rule(trunc(np.ones(n)), 3.0, 1.0,
-                                      rel_tol=1e-9, max_radial=first)
-        assert counts == [first]
+                                      rel_tol=1e-9, max_radial=max_radial)
+        assert f"at {counts[-1]} radial nodes" in str(exc.value)
+        return counts
+
+    @pytest.mark.parametrize("n, first", [
+        (1, 32), (2, 32), (9, 32), (64, 32), (65, 33), (257, 65),
+        (1025, 129), (20000, 512)])
+    def test_first_radial_count(self, monkeypatch, n, first):
+        # max(32, ceil(4 sqrt(N))), capped at 512
+        assert self._pass_counts(monkeypatch, n, first) == [first]
+
+    @pytest.mark.parametrize("n, last", [
+        # 2448 -> 4096 is a step of 1.67: the last pass runs at max_radial
+        (1461, [2448, 4096]),
+        # 4064 -> 4096 is below 1.5: the doubling stops at 4064
+        (4001, [2032, 4064])])
+    def test_last_pass_capped_at_max_radial(self, monkeypatch, n, last):
+        counts = self._pass_counts(monkeypatch, n, 4096)
+        assert counts[-2:] == last
+        assert all(b == 2 * a for a, b in zip(counts, counts[1:-1]))
+
+    def test_nonconvergence_names_the_last_pass(self):
+        # the doubling 254 -> 508 stops below max_radial = 700 (1016 > 700
+        # and 700 < 1.5 * 508): the message names 508, not 700
+        f = binomial_series_coeffs(1.25, BinomialSign.PLUS_Z, 4000)
+        with pytest.raises(NonConvergedQuadrature,
+                           match=r"at 508 radial nodes"):
+            norm_quadrature(f, 3.0, 2.0, rel_tol=1e-10, max_radial=700)
 
     @pytest.mark.parametrize("n, max_radial", [(2, 16), (64, 16), (65, 32),
                                                (4001, 128)])
@@ -491,16 +517,15 @@ def test_pool_norms_match_references():
     assert checked == 96
 
 
-def test_small_inputs_track_the_64_node_start():
-    # N <= 64 coefficients start at 32 radial nodes, where they started at
-    # 64 before; DiskQuadrature.build(alpha, 64) reproduces the old start.
-    # A value may differ from the old start by more than rel_tol only where
+def _assert_tracks_old_start(seed, draws, min_degree, max_degree, old_first):
+    # DiskQuadrature.build(alpha, old_first(N)) reproduces the old start.
+    # A value may differ from the old start's by more than rel_tol only where
     # the old value is itself off (an interior zero that the unrefined
     # angular grids do not resolve): there it must be no farther from a fine
     # reference than the old value plus rel_tol.
-    rng = np.random.default_rng(5)
-    for _ in range(400):
-        degree = int(rng.integers(1, 64))
+    rng = np.random.default_rng(seed)
+    for _ in range(draws):
+        degree = int(rng.integers(min_degree, max_degree + 1))
         inside = int(rng.integers(1, degree + 1))
         mod = np.concatenate([rng.uniform(0.05, 1.0, inside),
                               rng.uniform(1.0, 3.0, degree - inside)])
@@ -512,12 +537,27 @@ def test_small_inputs_track_the_64_node_start():
         f = TaylorTruncation(c)
         new, _ = norm_quadrature_with_rule(f, p, alpha, rel_tol=rel_tol)
         old, _ = norm_quadrature_with_rule(
-            f, p, alpha, quad=DiskQuadrature.build(alpha, 64), rel_tol=rel_tol)
+            f, p, alpha, quad=DiskQuadrature.build(alpha, old_first(len(c))),
+            rel_tol=rel_tol)
         if abs(new - old) <= rel_tol * old:
             continue
         fine = DiskQuadrature.build(alpha, 2048, angular_base=1 << 15)
         ref = norms._pnorm_single_pass(c, p, fine, math.log(1e-25))
         assert abs(new - ref) <= abs(old - ref) + rel_tol * ref
+
+
+def test_small_inputs_track_the_64_node_start():
+    # N <= 64 coefficients start at 32 radial nodes, where they started at
+    # 64 before
+    _assert_tracks_old_start(5, 400, 1, 63, lambda n: 64)
+
+
+def test_start_tracks_the_power_of_two_start():
+    # N > 64 coefficients start at ceil(4 sqrt(N)) radial nodes, where they
+    # started at the power of two at or above it
+    _assert_tracks_old_start(
+        11, 60, 65, 512,
+        lambda n: 1 << math.ceil(math.log2(4.0 * math.sqrt(n))))
 
 
 def _zeros_inside(rng, degree):

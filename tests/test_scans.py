@@ -177,6 +177,20 @@ class TestClassifier:
         with pytest.raises(ValueError):
             classify_growth([16, 32, 64], [1.0, 2.0, 3.0])
 
+    @pytest.mark.parametrize("n, window", [
+        (4, 3), (5, 3), (6, 3), (7, 4), (8, 4), (9, 5), (10, 5)])
+    def test_fit_window(self, n, window):
+        # the last half of the points, but at least 3: a 4-point scan used
+        # to fit 2 points and report R^2 = 1 with a stderr of 1e-15
+        degs = [16 * 2 ** k for k in range(n)]
+        vals = [d ** 0.5 * (1.0 + 1.0 / math.log(d)) for d in degs]
+        got = classify_growth(degs, vals)
+        slope = np.polyfit(np.log(degs[-window:]), np.log(vals[-window:]),
+                           1)[0]
+        assert got.kind is GrowthKind.POWER_DIVERGENT
+        assert got.exponent == float(slope)
+        assert got.r_squared < 1.0 and got.stderr > 1e-6
+
 
 class TestEigenScan:
     def test_member_converges(self):
