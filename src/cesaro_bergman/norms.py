@@ -10,6 +10,13 @@ Parseval summation applies; for general p the integral is computed by a
 Gauss-Jacobi radial rule tensored with uniform angular grids whose size is
 graded per radial node.
 
+The radial rule is Gauss-Jacobi (alpha, 1) on [-1, 1] mapped to [0, 1].  Its
+nodes are the eigenvalues of the Jacobi matrix (Golub & Welsch, Math. Comp.
+1969), its weights the closed form 1 / ((1 - x_i^2) prod_{j != i} (x_i -
+x_j)^2) normalised to B(2, alpha+1).  Against mpmath at 40 digits, for alpha
+in {0, 0.5, 1, 2, 6, 40}, the nodes are within 3.5e-16 and the weights within
+1.1e-11 relative at 363 nodes, 6.4e-11 at 1024.
+
 The Parseval weights w_j = 2 B(2j+2, alpha+1) follow the two-term recurrence
 w_j = w_{j-1} a(a+1) / ((a+b)(a+1+b)), a = 2j, b = alpha+1, anchored on one
 log-Beta value per block of 256 indices (see parseval_weights for errors).
@@ -31,7 +38,7 @@ from functools import lru_cache
 
 import numpy as np
 import scipy.fft as _fft
-from scipy.special import betaln, gammaln, roots_jacobi
+from scipy.special import betaln, gammaln
 
 from .series import TaylorTruncation
 
@@ -192,8 +199,20 @@ def parseval_weights(alpha: float, degree: int) -> np.ndarray:
     return w.ravel()[: degree + 1]
 
 
+def _check_finite_coeffs(coeffs: np.ndarray) -> None:
+    bad = ~np.isfinite(coeffs)
+    if bad.any():
+        j = int(np.argmax(bad))
+        raise ValueError(f"coefficient {j} is not finite: {coeffs[j]}")
+
+
 def norm_parseval(f: TaylorTruncation, alpha: float) -> float:
-    """A^2_alpha norm by orthogonality of monomials (p = 2 only)."""
+    """A^2_alpha norm by orthogonality of monomials (p = 2 only).
+
+    Raises ValueError, naming the first index, on a NaN or infinite
+    coefficient.
+    """
+    _check_finite_coeffs(f.coeffs)
     w = parseval_weights(alpha, f.degree)
     return math.sqrt(float(np.sum(np.abs(f.coeffs) ** 2 * w)))
 
@@ -202,19 +221,48 @@ def norm_parseval(f: TaylorTruncation, alpha: float) -> float:
 # disk quadrature
 # ---------------------------------------------------------------------------
 
+# node pairs per chunk of the radial weights' log-product: memory stays O(n)
+# (an unblocked product at 4096 nodes holds 134 MB) and each chunk is 512 kB
+_PAIR_BLOCK = 1 << 16
+
+
 @lru_cache(maxsize=128)
 def _radial_rule(alpha: float, count: int) -> tuple[np.ndarray, np.ndarray]:
-    # nodes/weights with int_0^1 (1-r)^alpha r h(r) dr = sum w_i h(r_i);
-    # Gauss-Jacobi on [-1,1] with parameters (alpha, 1), mapped to [0,1]
-    x, w = roots_jacobi(count, alpha, 1.0)
-    return (x + 1.0) / 2.0, w * 2.0 ** -(alpha + 2.0)
+    # nodes/weights with int_0^1 (1-r)^alpha r h(r) dr = sum w_i h(r_i), as
+    # in the module docstring: w_i is proportional to 1 / ((1 - x_i^2)
+    # P_n'(x_i)^2), and P_n'(x_i) to prod_{j != i} (x_i - x_j).  scipy.linalg
+    # is imported here, since at package import it would add about 60 ms.
+    from scipy.linalg import eigvalsh_tridiagonal
+
+    k = np.arange(count, dtype=float)
+    s = 2.0 * k + alpha + 1.0
+    diag = (1.0 - alpha * alpha) / (s * (s + 2.0))
+    k, s = k[1:], s[1:]
+    off = np.sqrt(4.0 * k * (k + alpha) * (k + 1.0) * (k + alpha + 1.0)
+                  / (s * s * (s + 1.0) * (s - 1.0)))
+    x = eigvalsh_tridiagonal(diag, off, lapack_driver="sterf",
+                             check_finite=False)
+    logw = np.empty(count)
+    rows = max(1, _PAIR_BLOCK // count)
+    for lo in range(0, count, rows):
+        diff = np.subtract.outer(x[lo:lo + rows], x)
+        np.fill_diagonal(diff[:, lo:], 1.0)
+        np.abs(diff, out=diff)
+        np.log(diff, out=diff)
+        logw[lo:lo + rows] = diff.sum(axis=1)
+    logw *= -2.0
+    logw -= np.log1p(-x) + np.log1p(x)
+    w = np.exp(logw - logw.max())
+    w *= 1.0 / ((alpha + 1.0) * (alpha + 2.0) * w.sum())
+    return (x + 1.0) / 2.0, w
 
 
 @dataclass(frozen=True)
 class DiskQuadrature:
     """Tensor rule for int_D |f|^p (1-|z|)^alpha dA / pi.
 
-    radial_nodes/radial_weights absorb the weight (1-r)^alpha r on [0, 1];
+    radial_nodes/radial_weights absorb the weight (1-r)^alpha r on [0, 1]
+    (the Gauss-Jacobi rule of the module docstring, cached per count);
     angular_base, a power of two >= 2, is the minimum angular grid size.
     Per radial node the angular size is a power of two >= p * eff / 2 + 1 at
     even p (alias bound: exact for |f|^p) and >= 4 p (eff + 1) at every other
@@ -252,7 +300,14 @@ class DiskQuadrature:
 # p * eff / 2, and T >= _ANGULAR_FACTOR * p * (eff + 1) at every other p
 _ANGULAR_FACTOR = 4.0
 _GRADE_ELEMENTS = 1 << 16  # terms per grading chunk: one for degree <= 8
-_BATCH_ELEMENTS = 1 << 22
+# angular points per FFT block: one rfft output holds 4 MB.  The top pass of
+# an eigen-quad scan (N = 2^13, p = 3, 726 nodes; one CPU, warm rule) peaks
+# at 10.8 MB traced and takes 0.101 s, against 70 MB and 0.147 s at 1 << 22,
+# 21 MB and 0.131 s at 1 << 20, and 5.6 MB and 0.109 s at 1 << 18.  The
+# eigen-quad worker peaks near 85 MB RSS (80 MB at 1 << 18, 95 MB at
+# 1 << 20, 164-185 MB at 1 << 22).  In a fresh process, where the allocator
+# re-faults the smaller temporaries, passes take as long as at 1 << 22.
+_BATCH_ELEMENTS = 1 << 19
 
 
 def _effective_degrees(coeffs, logr, log_cut: float) -> np.ndarray:
@@ -329,7 +384,8 @@ def norm_quadrature_with_rule(
     max_radial itself if that is at least 1.5 times the current count, and
     the doubling stops otherwise (a smaller step would barely refine the
     value, so two passes would agree by construction).  Raises ValueError
-    when max_radial is below the first count, and
+    when max_radial is below the first count or a coefficient is NaN or
+    infinite (naming the first such index), and
     :class:`NonConvergedQuadrature`, naming the last pass's count, when no
     two passes agree, which signals an integrand too singular at the
     boundary for the requested tolerance.
@@ -338,6 +394,7 @@ def norm_quadrature_with_rule(
     if not 0.0 < rel_tol < 1.0:
         raise ValueError(f"rel_tol must lie in (0, 1), got {rel_tol}")
     coeffs = np.asarray(f.coeffs, dtype=complex)
+    _check_finite_coeffs(coeffs)
     if quad is not None and abs(quad.alpha - alpha) > 1e-12:
         raise ValueError("quadrature was built for a different alpha")
     if quad is not None:

@@ -188,7 +188,8 @@ def truncation_norms(coeffs: np.ndarray, p: float, alpha: float, degrees,
 
     The one place that picks the method: Parseval sums over the weights of
     degree len(coeffs) - 1 at p = 2, adaptive quadrature at rel_tol
-    otherwise.  A quadrature that does not converge gives nan.
+    otherwise.  A quadrature that does not converge, or a part with a
+    coefficient that overflowed to inf, gives nan.
     """
     if p == 2.0:
         w = parseval_weights(alpha, len(coeffs) - 1)
@@ -203,6 +204,11 @@ def truncation_norms(coeffs: np.ndarray, p: float, alpha: float, degrees,
             part[: n + 1] = 0.0
         else:
             part = coeffs[: n + 1]
+        if not np.isfinite(part).all():
+            # norm_quadrature refuses it; eigenfunctions at m near 200
+            # overflow past degree 2^11
+            out[i] = math.nan
+            continue
         try:
             out[i] = norm_quadrature(TaylorTruncation(part), p, alpha,
                                      rel_tol=rel_tol)

@@ -1,6 +1,10 @@
 import json
 import math
+import os
 import pathlib
+import subprocess
+import sys
+import tracemalloc
 import types
 
 import numpy as np
@@ -8,7 +12,7 @@ import pytest
 import scipy.fft
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import betaln, gammaln
+from scipy.special import betaln, gammaln, roots_jacobi
 
 from cesaro_bergman import norms
 from cesaro_bergman.norms import (
@@ -252,6 +256,129 @@ class TestSinglePassOracle:
         assert max(sizes) == 8
 
 
+def oracle_radial_rule(alpha, count):
+    # scipy's Gauss-Jacobi (alpha, 1) rule mapped to [0, 1], the radial rule
+    # of earlier releases; at 1024 nodes its end weights are up to 1.2e-8
+    # off, where the library's are within 6.4e-11 of mpmath
+    x, w = roots_jacobi(count, alpha, 1.0)
+    return (x + 1.0) / 2.0, w * 2.0 ** -(alpha + 2.0)
+
+
+def _mp_jacobi(n, a, b, x):
+    # P_n^(a,b)(x) and its derivative by the three-term recurrence, in the
+    # precision of the mpmath numbers a, b and x
+    p0, p1 = 1, (a + 1) + (a + b + 2) * (x - 1) / 2
+    d0, d1 = 0, (a + b + 2) / 2
+    for k in range(2, n + 1):
+        s = 2 * k + a + b
+        c1 = 2 * k * (k + a + b) * (s - 2)
+        c2 = (s - 1) * (s * (s - 2) * x + a * a - b * b)
+        c3 = 2 * (k + a - 1) * (k + b - 1) * s
+        p0, p1, d0, d1 = (p1, (c2 * p1 - c3 * p0) / c1, d1,
+                          (c2 * d1 + (s - 1) * s * (s - 2) * p1 - c3 * d0) / c1)
+    return p1, d1
+
+
+_RULE_ALPHAS = [0.0, 0.5, 1.0, 2.0, 6.0, 40.0]
+_RULE_COUNTS = [2, 3, 32, 64, 363]
+
+
+class TestRadialRule:
+    @pytest.mark.parametrize("count", _RULE_COUNTS)
+    @pytest.mark.parametrize("alpha", _RULE_ALPHAS)
+    def test_matches_roots_jacobi(self, alpha, count):
+        r, w = norms._radial_rule(alpha, count)
+        r_ref, w_ref = oracle_radial_rule(alpha, count)
+        assert np.all(np.diff(r) > 0.0)  # the grading walks them outside-in
+        assert np.abs(r - r_ref).max() <= 1e-15
+        assert np.abs(w / w_ref - 1.0).max() <= 5e-8
+
+    @pytest.mark.parametrize("count", _RULE_COUNTS)
+    @pytest.mark.parametrize("alpha", _RULE_ALPHAS)
+    def test_against_mpmath(self, alpha, count):
+        # nodes polished by Newton steps on P_n^(alpha,1) at 40 digits; the
+        # weights 2^-(alpha+2) times the Gauss-Jacobi weights in closed form,
+        # 2^(alpha+2) G(n+alpha+1) G(n+2) / (G(n+alpha+2) n! (1-x^2) P_n'^2)
+        mpmath = pytest.importorskip("mpmath")
+        r, w = norms._radial_rule(alpha, count)
+        with mpmath.workdps(40):
+            a, b, n = mpmath.mpf(alpha), mpmath.mpf(1), count
+            scale = (mpmath.gamma(n + a + 1) * mpmath.gamma(n + b + 1)
+                     / (mpmath.gamma(n + a + b + 1) * mpmath.gamma(n + 1)))
+            for i in sorted({0, 1, n // 2, n - 2, n - 1}):
+                x = mpmath.mpf(2.0 * r[i] - 1.0)
+                for _ in range(3):
+                    p, d = _mp_jacobi(n, a, b, x)
+                    x -= p / d
+                d = _mp_jacobi(n, a, b, x)[1]
+                w_ref = scale / ((1 - x * x) * d * d)
+                assert abs(float((x + 1) / 2) - r[i]) <= 1e-15
+                assert abs(float(w[i] / w_ref) - 1.0) <= 1e-10
+
+    @pytest.mark.parametrize("count", _RULE_COUNTS)
+    @pytest.mark.parametrize("alpha", _RULE_ALPHAS)
+    def test_moments_exact_to_degree_2n_minus_1(self, alpha, count):
+        # sum w_i r_i^k = int_0^1 (1-r)^alpha r^(k+1) dr = B(k+2, alpha+1)
+        r, w = norms._radial_rule(alpha, count)
+        k = np.arange(2 * count, dtype=float)
+        got = np.power.outer(r, k).T @ w
+        want = np.exp(betaln(k + 2.0, alpha + 1.0))
+        assert np.abs(got / want - 1.0).max() <= 1e-11
+
+    def test_weights_built_in_blocks(self):
+        # the log-product runs over row chunks of about 2^16 node pairs: at
+        # 4096 nodes the build peaks near 3 MB, where the whole product
+        # would hold 134 MB
+        tracemalloc.start()
+        try:
+            norms._radial_rule.__wrapped__(2.0, 4096)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 << 20
+
+    def test_package_import_leaves_out_scipy_linalg(self):
+        # the builder imports scipy.linalg on first use, so that package
+        # import, and every CLI start, does not pay for it
+        src = pathlib.Path(norms.__file__).resolve().parents[1]
+        code = ("import sys, cesaro_bergman; "
+                "sys.exit('scipy.linalg' in sys.modules)")
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        assert subprocess.run([sys.executable, "-c", code], env=env,
+                              timeout=60).returncode == 0
+
+
+class TestPassBlocks:
+    @pytest.mark.parametrize("batch", [1 << 22, 1 << 19, 1 << 12])
+    @pytest.mark.parametrize("p", [1.5, 3.0, 4.0])
+    def test_value_independent_of_block_size(self, monkeypatch, p, batch):
+        # at 1 << 12 the top nodes run one FFT each
+        coeffs = np.array(eigenfunction_truncation(2, 1 << 11).coeffs,
+                          dtype=complex)
+        coeffs[::3] *= 1.0 - 0.5j
+        quad = DiskQuadrature.build(2.0, 182)
+        log_cut = math.log(5e-5 * 1e-3 / len(coeffs))
+        want = norms._pnorm_single_pass(coeffs, p, quad, log_cut)
+        monkeypatch.setattr(norms, "_BATCH_ELEMENTS", batch)
+        got = norms._pnorm_single_pass(coeffs, p, quad, log_cut)
+        assert got == pytest.approx(want, rel=1e-15, abs=0.0)
+
+    def test_top_pass_memory(self):
+        # the top pass of an eigen-quad scan: 10.8 MB at 1 << 19 points per
+        # block, 70 MB at 1 << 22
+        coeffs = np.asarray(eigenfunction_truncation(2, 1 << 13).coeffs,
+                            dtype=complex)
+        quad = DiskQuadrature.build(2.0, 726)
+        log_cut = math.log(5e-5 * 1e-3 / len(coeffs))
+        tracemalloc.start()
+        try:
+            norms._pnorm_single_pass(coeffs, 3.0, quad, log_cut)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 << 20
+
+
 class TestMonomialNorm:
     def test_unit_constant_classical(self):
         # normalized area measure of the disk is 1
@@ -360,6 +487,15 @@ class TestParseval:
     def test_monomial_alpha_two(self):
         # 2 B(4,3) = 2 * 3! 2! / 6! = 1/30
         assert abs(norm_parseval(trunc([0, 1]), 2.0) - math.sqrt(1 / 30)) < 1e-14
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf,
+                                     complex(1.0, math.nan)])
+    def test_nonfinite_coefficient_rejected(self, bad):
+        # it used to return nan or inf without a word
+        c = np.ones(50, dtype=complex)
+        c[[17, 30]] = bad
+        with pytest.raises(ValueError, match="coefficient 17 is not finite"):
+            norm_parseval(TaylorTruncation(c), 1.0)
 
     def test_agrees_with_quadrature(self):
         rng = np.random.default_rng(11)
@@ -483,6 +619,17 @@ class TestQuadrature:
     def test_angular_base_powers_of_two_accepted(self, base):
         assert DiskQuadrature.build(1.0, 16, angular_base=base).angular_base \
             == base
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf,
+                                     complex(1.0, math.nan)])
+    def test_nonfinite_coefficient_rejected(self, bad):
+        # refused before any pass: one NaN among 50 coefficients used to run
+        # the doubling to 4096 nodes (about 1 s) and end in
+        # NonConvergedQuadrature with a NaN value
+        c = np.ones(50, dtype=complex)
+        c[[17, 30]] = bad
+        with pytest.raises(ValueError, match="coefficient 17 is not finite"):
+            norm_quadrature_with_rule(TaylorTruncation(c), 3.0, 1.0)
 
     def test_alpha_mismatch_rejected(self):
         quad = DiskQuadrature.build(1.0, 64)

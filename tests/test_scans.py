@@ -118,6 +118,16 @@ class TestTruncationNorms:
             got = truncation_norms(np.ones(9), 3.0, 1.0, [2, 8], tails=tails)
             assert np.all(np.isnan(got))
 
+    def test_overflowed_part_gives_nan(self):
+        # norm_quadrature refuses a non-finite coefficient; the scan keeps
+        # its earlier answer, nan, for the parts that hold one
+        c = np.ones(9)
+        c[5] = math.inf
+        got = truncation_norms(c, 3.0, 1.0, [2, 8])
+        assert math.isfinite(got[0]) and math.isnan(got[1])
+        got = truncation_norms(c, 3.0, 1.0, [2, 5], tails=True)
+        assert math.isnan(got[0]) and math.isfinite(got[1])
+
     def test_family_matches_parseval_sum(self):
         # cumsum and np.sum order the additions differently: allow the
         # sequential-sum bound of n ulps
