@@ -8,7 +8,8 @@ with dA the area measure normalized by pi.  Monomial norms have the closed
 form (2 B(jp+2, alpha+1))^{1/p}; at p = 2 the monomials are orthogonal and
 Parseval summation applies; for general p the integral is computed by a
 Gauss-Jacobi radial rule tensored with uniform angular grids whose size is
-graded per radial node.
+graded per radial node and, at p other than an even integer, refined by a
+half-grid check (see DiskQuadrature).
 
 The radial rule is Gauss-Jacobi (alpha, 1) on [-1, 1] mapped to [0, 1].  Its
 nodes are the eigenvalues of the Jacobi matrix (Golub & Welsch, Math. Comp.
@@ -265,8 +266,15 @@ class DiskQuadrature:
     (the Gauss-Jacobi rule of the module docstring, cached per count);
     angular_base, a power of two >= 2, is the minimum angular grid size.
     Per radial node the angular size is a power of two >= p * eff / 2 + 1 at
-    even p (alias bound: exact for |f|^p) and >= 4 p (eff + 1) at every other
-    p; eff is the effective degree (cut rel_tol/1000N); the driver sets
+    even p (alias bound: exact for |f|^p); eff is the effective degree (cut
+    rel_tol/1000N).  At every other p a node starts at the power of two T >=
+    2 (eff + 1), where the T/2-point grid still samples f without aliasing,
+    and doubles T until the mean of |f|^p on T points is within 0.1 rel_tol
+    of the mean on its even points (the T/2-point sum, free from the same
+    FFT), or until T reaches the cap T >= 4 p (eff + 1).  The trapezoid rule
+    converges geometrically at a rate set by 1 - r, not by p (Trefethen &
+    Weideman, SIAM Rev. 2014), so most nodes stop below the cap.  A node
+    whose mean is not finite stops at once.  The driver sets
     rel_error_estimate.
     """
 
@@ -297,16 +305,17 @@ class DiskQuadrature:
 
 # angular sizes, powers of two >= angular_base: T >= p * eff / 2 + 1 at even
 # p, where the trapezoid rule is exact for |f|^p = |f^{p/2}|^2 of degree
-# p * eff / 2, and T >= _ANGULAR_FACTOR * p * (eff + 1) at every other p
+# p * eff / 2.  At every other p, T >= _ANGULAR_FACTOR * p * (eff + 1) is the
+# cap of the half-grid refinement (the fixed size of earlier releases), so
+# that no node gets more points than it used to
 _ANGULAR_FACTOR = 4.0
 _GRADE_ELEMENTS = 1 << 16  # terms per grading chunk: one for degree <= 8
 # angular points per FFT block: one rfft output holds 4 MB.  The top pass of
-# an eigen-quad scan (N = 2^13, p = 3, 726 nodes; one CPU, warm rule) peaks
-# at 10.8 MB traced and takes 0.101 s, against 70 MB and 0.147 s at 1 << 22,
-# 21 MB and 0.131 s at 1 << 20, and 5.6 MB and 0.109 s at 1 << 18.  The
-# eigen-quad worker peaks near 85 MB RSS (80 MB at 1 << 18, 95 MB at
-# 1 << 20, 164-185 MB at 1 << 22).  In a fresh process, where the allocator
-# re-faults the smaller temporaries, passes take as long as at 1 << 22.
+# an eigen-quad scan (N = 2^13, p = 3, m = 2, 726 nodes; one CPU, warm rule)
+# peaks at 10.3 MB traced, against 16.5 MB at 1 << 20 and 1 << 22 and 5.9 MB
+# at 1 << 18; with the half-grid refinement it takes 40 to 60 ms at each of
+# these sizes, within the run-to-run spread.  The eigen-quad worker peaks
+# near 80-83 MB RSS.
 _BATCH_ELEMENTS = 1 << 19
 
 
@@ -328,31 +337,56 @@ def _effective_degrees(coeffs, logr, log_cut: float) -> np.ndarray:
     return eff
 
 
+def _mean_weights(t: int, real: bool) -> np.ndarray:
+    # trapezoid weights on t points; rfft bins 1..t/2-1 of a real block stand
+    # for their conjugates too
+    mean = np.full(t // 2 + 1 if real else t, (1.0 + real) / t)
+    mean[[0, -1]] = 1.0 / t
+    return mean
+
+
 def _pnorm_single_pass(coeffs: np.ndarray, p: float, quad: DiskQuadrature,
-                       log_cut: float) -> float:
+                       log_cut: float, rel_tol: float) -> float:
     logr = np.log(quad.radial_nodes)
     eff = _effective_degrees(coeffs, logr, log_cut)
-    need = (p * eff / 2.0 + 1.0 if p % 2.0 == 0.0
-            else _ANGULAR_FACTOR * p * (eff + 1.0))
-    ang = 1 << np.maximum(np.ceil(np.log2(need)),
-                          math.floor(math.log2(quad.angular_base))).astype(int)
+    floor = math.floor(math.log2(quad.angular_base))
+
+    def pow2(need):
+        return 1 << np.maximum(np.ceil(np.log2(need)), floor).astype(int)
+
+    even = p % 2.0 == 0.0
+    ang = pow2(p * eff / 2.0 + 1.0 if even else 2.0 * (eff + 1.0))
+    cap = ang if even else pow2(_ANGULAR_FACTOR * p * (eff + 1.0))
     real = not np.any(coeffs.imag)
     coeffs = coeffs.real if real else coeffs
     total = 0.0
-    for t in np.unique(ang).tolist():
-        idx = np.nonzero(ang == t)[0]
-        # rfft bins 1..t/2-1 of a real block stand for their conjugates too
-        mean = np.full(t // 2 + 1 if real else t, (1.0 + real) / t)
-        mean[[0, -1]] = 1.0 / t
-        batch = max(1, _BATCH_ELEMENTS // t)
-        for k in range(0, len(idx), batch):
-            sel = idx[k:k + batch]
-            jtop = int(eff[sel].max())
-            block = coeffs[: jtop + 1] * np.exp(
-                np.outer(logr[sel], np.arange(jtop + 1.0)))
-            vals = np.abs((_fft.rfft if real else _fft.fft)(block, n=t, axis=1))
-            vals **= p
-            total += float(np.dot(quad.radial_weights[sel], vals @ mean))
+    # ang[i] is node i's next grid size, 0 once the node is summed
+    with np.errstate(over="ignore", invalid="ignore"):
+        while ang.any():
+            t = int(ang[ang > 0].min())
+            idx = np.nonzero(ang == t)[0]
+            mean = _mean_weights(t, real)
+            half = _mean_weights(t // 2, real)
+            batch = max(1, _BATCH_ELEMENTS // t)
+            for k in range(0, len(idx), batch):
+                sel = idx[k:k + batch]
+                jtop = int(eff[sel].max())
+                block = coeffs[: jtop + 1] * np.exp(
+                    np.outer(logr[sel], np.arange(jtop + 1.0)))
+                vals = np.abs((_fft.rfft if real else _fft.fft)(
+                    block, n=t, axis=1))
+                vals **= p
+                s = vals @ mean
+                refine = cap[sel] > t
+                if refine.any():
+                    # the even bins are the t/2-point sum; a non-finite s
+                    # never compares as refinable
+                    refine &= (np.abs(s - vals[:, ::2] @ half)
+                               > 0.1 * rel_tol * s)
+                done = sel[~refine]
+                total += float(np.dot(quad.radial_weights[done], s[~refine]))
+                ang[done] = 0
+                ang[sel[refine]] = 2 * t
     return (2.0 * total) ** (1.0 / p)
 
 
@@ -388,7 +422,9 @@ def norm_quadrature_with_rule(
     infinite (naming the first such index), and
     :class:`NonConvergedQuadrature`, naming the last pass's count, when no
     two passes agree, which signals an integrand too singular at the
-    boundary for the requested tolerance.
+    boundary for the requested tolerance.  A pass that is not finite (|f|^p
+    overflows although every coefficient is finite) raises it at once, with
+    that value as last_value and rel_change nan.
     """
     _check_exponents(p, alpha)
     if not 0.0 < rel_tol < 1.0:
@@ -415,7 +451,11 @@ def norm_quadrature_with_rule(
     rel_change = math.inf
     while True:
         rule = DiskQuadrature.build(alpha, radial, angular_base)
-        value = _pnorm_single_pass(coeffs, p, rule, log_cut)
+        value = _pnorm_single_pass(coeffs, p, rule, log_cut, rel_tol)
+        if not math.isfinite(value):
+            raise NonConvergedQuadrature(
+                f"|f|^p overflows: the pass at {radial} radial nodes reads "
+                f"{value}", last_value=value, rel_change=math.nan)
         if prev is not None:
             rel_change = abs(value - prev) / max(abs(value), 1e-300)
             if rel_change <= rel_tol:

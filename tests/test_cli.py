@@ -1,6 +1,7 @@
 import json
 import math
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -280,6 +281,25 @@ class TestScanCommand:
         result = record["results"][0]
         assert result["expected_member"] is True
         assert result["classification"]["kind"] == "converged"
+
+    def test_eigen_overflow_gives_nulls_without_norm_warnings(self, capsys):
+        # |f|^1.5 overflows from degree 1024 on: each such degree stops at
+        # its first pass, prints null, and the quadrature warns nothing
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, _ = run_cli(capsys, "scan", "eigen", "-m", "200",
+                                   "-p", "1.5", "--alpha", "1",
+                                   "--nmax", "4096")
+        assert code == 0
+        result = json.loads(out)["results"][0]
+        assert result["degrees"][-3:] == [1024, 2048, 4096]
+        assert result["values"][-3:] == [None, None, None]
+        # the finite values of the fixed angular grids of earlier releases
+        assert result["values"][:-3] == pytest.approx(
+            [0.0, 0.0, 0.0, 0.0, 3.085314625993149e+54,
+             3.588349000195237e+143], rel=1e-12, abs=0.0)
+        assert result["classification"]["kind"] == "undetermined"
+        assert not [w for w in caught if w.filename == norms.__file__]
 
     def test_eigen_csv(self, capsys):
         code, out, _ = run_cli(capsys, "scan", "eigen", "-m", "3", "-p", "2",

@@ -6,6 +6,7 @@ import subprocess
 import sys
 import tracemalloc
 import types
+import warnings
 
 import numpy as np
 import pytest
@@ -122,43 +123,43 @@ def oracle_effective_degrees(coeffs, logr, log_cut):
     return len(js) - 1 - np.argmax(keep[:, ::-1], axis=1)
 
 
-def oracle_pnorm_single_pass(coeffs, p, quad, cut):
-    # the per-node loop: grading by linear-scale cutoff, complex FFTs at
-    # T >= 4 p (eff + 1) for every p; the library pass must agree with it to
-    # rounding
+def _oracle_pow2(need, base):
+    return 1 << max(int(math.ceil(math.log2(max(need, 2.0)))),
+                    int(math.log2(base)))
+
+
+def oracle_pnorm_single_pass(coeffs, p, quad, cut, rel_tol=None):
+    # the per-node loop: grading by linear-scale cutoff and complex FFTs.  At
+    # even p the grid is T >= 4 p (eff + 1), where the trapezoid sum is
+    # exact.  At every other p a node starts at T >= 2 (eff + 1) and doubles
+    # T, up to the cap T >= 4 p (eff + 1), until the mean of |f|^p on T
+    # points is within 0.1 rel_tol of its mean on the even points; with
+    # rel_tol None it takes the cap at once.  The library pass must agree
+    # with it to rounding.
     r = quad.radial_nodes
     w = quad.radial_weights
-    n = len(coeffs) - 1
-    js = np.arange(n + 1, dtype=float)
+    js = np.arange(len(coeffs), dtype=float)
     absc = np.abs(coeffs)
-    logr = np.log(r)
-    count = len(r)
-    eff_deg = np.empty(count, dtype=int)
-    ang = np.empty(count, dtype=int)
-    for i in range(count):
-        scaled = absc * np.exp(js * logr[i])
-        top = scaled.max()
-        if top == 0.0:
-            eff_deg[i] = 0
-            ang[i] = quad.angular_base
-            continue
-        keep = np.nonzero(scaled > cut * top)[0]
-        eff_deg[i] = int(keep[-1])
-        need = 4.0 * p * (eff_deg[i] + 1)
-        ang[i] = 1 << max(int(math.ceil(math.log2(max(need, 2.0)))),
-                          int(math.log2(quad.angular_base)))
+    base = quad.angular_base
+    even = p % 2.0 == 0.0
     total = 0.0
-    for t in np.unique(ang):
-        idx = np.nonzero(ang == t)[0]
-        batch = max(1, (1 << 22) // int(t))
-        for k in range(0, len(idx), batch):
-            sel = idx[k:k + batch]
-            jtop = int(eff_deg[sel].max())
-            block = coeffs[None, : jtop + 1] * np.exp(
-                np.outer(logr[sel], js[: jtop + 1]))
-            vals = scipy.fft.fft(block, n=int(t), axis=1)
-            means = np.mean(np.abs(vals) ** p, axis=1)
-            total += float(np.dot(w[sel], means))
+    for i in range(len(r)):
+        powers = np.exp(js * math.log(r[i]))
+        scaled = absc * powers
+        top = scaled.max()
+        eff = int(np.nonzero(scaled > cut * top)[0][-1]) if top > 0.0 else 0
+        cap = _oracle_pow2(4.0 * p * (eff + 1), base)
+        t = cap if even or rel_tol is None else _oracle_pow2(2.0 * (eff + 1),
+                                                             base)
+        row = coeffs[: eff + 1] * powers[: eff + 1]
+        while True:
+            vals = np.abs(scipy.fft.fft(row, n=t)) ** p
+            mean = np.mean(vals)
+            if t >= cap or abs(mean - np.mean(vals[::2])) <= (
+                    0.1 * rel_tol * mean):
+                break
+            t *= 2
+        total += w[i] * mean
     return (2.0 * total) ** (1.0 / p)
 
 
@@ -203,6 +204,22 @@ class TestEffectiveDegreesOracle:
                               oracle_effective_degrees(coeffs, logr, log_cut))
 
 
+def _record_transforms(monkeypatch):
+    # (length, first four columns of the block) of every transform the pass
+    # runs
+    calls = []
+
+    def recorded(transform):
+        def run(x, n, axis):
+            calls.append((n, x[:, :4].copy()))
+            return transform(x, n=n, axis=axis)
+        return run
+
+    monkeypatch.setattr(norms, "_fft", types.SimpleNamespace(
+        fft=recorded(scipy.fft.fft), rfft=recorded(scipy.fft.rfft)))
+    return calls
+
+
 class TestSinglePassOracle:
     @settings(max_examples=60, deadline=None)
     @given(re=st.lists(_coeff, min_size=1, max_size=301), data=st.data(),
@@ -223,9 +240,10 @@ class TestSinglePassOracle:
         coeffs *= decay ** np.arange(len(coeffs))
         quad = DiskQuadrature.build(alpha, radial)
         # the fixed 1e-20 of earlier releases and the cutoff tied to 5e-5
-        for cut in (1e-20, 5e-5 * 1e-3 / len(coeffs)):
-            got = norms._pnorm_single_pass(coeffs, p, quad, math.log(cut))
-            want = oracle_pnorm_single_pass(coeffs, p, quad, cut)
+        for cut, rel_tol in ((1e-20, 1e-9), (5e-5 * 1e-3 / len(coeffs), 5e-5)):
+            got = norms._pnorm_single_pass(coeffs, p, quad, math.log(cut),
+                                           rel_tol)
+            want = oracle_pnorm_single_pass(coeffs, p, quad, cut, rel_tol)
             assert got == pytest.approx(want, rel=1e-13, abs=0.0)
 
     @pytest.mark.parametrize("zeros", [(0.5, -0.6, 0.2),
@@ -236,24 +254,15 @@ class TestSinglePassOracle:
         coeffs = np.array([1.0 + 0j])
         for z0 in zeros:
             coeffs = np.convolve(coeffs, [-z0, 1.0])
-        sizes = []
-
-        def recorded(transform):
-            def run(x, n, axis):
-                sizes.append(n)
-                return transform(x, n=n, axis=axis)
-            return run
-
-        monkeypatch.setattr(norms, "_fft", types.SimpleNamespace(
-            fft=recorded(scipy.fft.fft), rfft=recorded(scipy.fft.rfft)))
+        calls = _record_transforms(monkeypatch)
         for alpha in (0.0, 1.0, 2.5):
             quad = DiskQuadrature.build(alpha, 16, angular_base=2)
             got = norms._pnorm_single_pass(coeffs, 4.0, quad,
-                                           math.log(1e-20))
+                                           math.log(1e-20), 1e-9)
             want = math.sqrt(norm_parseval(
                 TaylorTruncation(np.convolve(coeffs, coeffs)), alpha))
             assert got == pytest.approx(want, rel=1e-12)
-        assert max(sizes) == 8
+        assert max(n for n, _ in calls) == 8
 
 
 def oracle_radial_rule(alpha, count):
@@ -358,21 +367,23 @@ class TestPassBlocks:
         coeffs[::3] *= 1.0 - 0.5j
         quad = DiskQuadrature.build(2.0, 182)
         log_cut = math.log(5e-5 * 1e-3 / len(coeffs))
-        want = norms._pnorm_single_pass(coeffs, p, quad, log_cut)
+        want = norms._pnorm_single_pass(coeffs, p, quad, log_cut, 5e-5)
         monkeypatch.setattr(norms, "_BATCH_ELEMENTS", batch)
-        got = norms._pnorm_single_pass(coeffs, p, quad, log_cut)
+        got = norms._pnorm_single_pass(coeffs, p, quad, log_cut, 5e-5)
         assert got == pytest.approx(want, rel=1e-15, abs=0.0)
 
     def test_top_pass_memory(self):
-        # the top pass of an eigen-quad scan: 10.8 MB at 1 << 19 points per
-        # block, 70 MB at 1 << 22
+        # the top pass of an eigen-quad scan, with an angular tolerance
+        # that refines the nodes up to their caps, so that the largest
+        # blocks are as large as the block size allows: 12.0 MB at 1 << 19
+        # points per block, 78.3 MB at 1 << 22
         coeffs = np.asarray(eigenfunction_truncation(2, 1 << 13).coeffs,
                             dtype=complex)
         quad = DiskQuadrature.build(2.0, 726)
         log_cut = math.log(5e-5 * 1e-3 / len(coeffs))
         tracemalloc.start()
         try:
-            norms._pnorm_single_pass(coeffs, 3.0, quad, log_cut)
+            norms._pnorm_single_pass(coeffs, 3.0, quad, log_cut, 1e-15)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -550,13 +561,34 @@ class TestQuadrature:
         assert math.isfinite(exc.value.last_value)
         assert 1e-10 < exc.value.rel_change < 1e-8
 
+    def test_overflow_stops_at_the_first_pass(self, monkeypatch):
+        # finite coefficients up to 3.2e217, but |f|^1.5 overflows: the
+        # doubling used to run to max_radial with every pass reading inf and
+        # overflow warnings from every pass
+        f = eigenfunction_truncation(200, 1024)
+        builds = []
+        build = DiskQuadrature.build.__func__
+
+        def counted(cls, *args, **kwargs):
+            builds.append(args)
+            return build(cls, *args, **kwargs)
+
+        monkeypatch.setattr(DiskQuadrature, "build", classmethod(counted))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonConvergedQuadrature,
+                               match="overflows") as exc:
+                norm_quadrature_with_rule(f, 1.5, 1.0, rel_tol=5e-5)
+        assert len(builds) == 1
+        assert math.isinf(exc.value.last_value)
+
     @staticmethod
     def _pass_counts(monkeypatch, n, max_radial):
         # radial counts of the passes of a run whose values never agree; the
         # rules and passes are stand-ins, so large counts cost nothing
         counts = []
 
-        def spy(coeffs, p, quad, log_cut):
+        def spy(coeffs, p, quad, log_cut, rel_tol):
             counts.append(quad.radial_count)
             return float(len(counts))
 
@@ -689,7 +721,7 @@ def _assert_tracks_old_start(seed, draws, min_degree, max_degree, old_first):
         if abs(new - old) <= rel_tol * old:
             continue
         fine = DiskQuadrature.build(alpha, 2048, angular_base=1 << 15)
-        ref = norms._pnorm_single_pass(c, p, fine, math.log(1e-25))
+        ref = norms._pnorm_single_pass(c, p, fine, math.log(1e-25), 1e-12)
         assert abs(new - ref) <= abs(old - ref) + rel_tol * ref
 
 
@@ -726,7 +758,9 @@ def _tied_pass(coeffs, p, alpha, rel_tol, radial):
 
 class TestTiedCutoff:
     # per radial node the driver drops the terms below rel_tol 1e-3 / N of
-    # the largest |c_j| r^j; that moves the norm by at most rel_tol / 1000
+    # the largest |c_j| r^j; that moves the norm by at most rel_tol / 1000.
+    # The full passes check their angular grids at the same rel_tol, so that
+    # only the cutoff differs.
 
     @pytest.mark.parametrize("rel_tol", [5e-5, 1e-9])
     @pytest.mark.parametrize("p", [1.5, 3.0, 4.0])
@@ -736,7 +770,7 @@ class TestTiedCutoff:
                 coeffs = eigenfunction_truncation(m, n - 1).coeffs
                 tied, quad = _tied_pass(coeffs, p, 1.0, rel_tol, 128)
                 full = norms._pnorm_single_pass(coeffs, p, quad,
-                                                math.log(1e-20))
+                                                math.log(1e-20), rel_tol)
                 assert abs(tied - full) <= rel_tol / 1000 * full
 
     @pytest.mark.parametrize("rel_tol", [5e-5, 1e-9])
@@ -747,7 +781,7 @@ class TestTiedCutoff:
             for p in (1.5, 3.0):
                 tied, quad = _tied_pass(coeffs, p, 0.5, rel_tol, 64)
                 full = norms._pnorm_single_pass(coeffs, p, quad,
-                                                math.log(1e-20))
+                                                math.log(1e-20), rel_tol)
                 assert abs(tied - full) <= rel_tol / 1000 * full
 
     @pytest.mark.parametrize("rel_tol", [5e-5, 1e-9])
@@ -779,6 +813,71 @@ class TestTiedCutoff:
                                     n=grid, axis=1))
         node_norm = np.mean(vals ** p, axis=1) ** (1.0 / p)
         assert np.all(dropped <= rel_tol / 1000 * node_norm)
+
+
+class TestAngularRefinement:
+    # at p != 2k a node starts at T >= 2 (eff + 1) and doubles T while its
+    # sums on T and T/2 points differ by more than 0.1 rel_tol, up to its cap
+
+    def test_top_pass_within_caps_at_half_the_points(self, monkeypatch):
+        # the top pass of an eigen-quad scan at p = 3: 2.2 M points, against
+        # 7.7 M when every node ran at its cap
+        coeffs = np.asarray(eigenfunction_truncation(3, 1 << 13).coeffs,
+                            dtype=complex)
+        quad = DiskQuadrature.build(2.0, 726)
+        log_cut = math.log(5e-5 * 1e-3 / len(coeffs))
+        calls = _record_transforms(monkeypatch)
+        norms._pnorm_single_pass(coeffs, 3.0, quad, log_cut, 5e-5)
+        # the fixed grids of earlier releases, now the caps
+        eff = oracle_effective_degrees(coeffs, np.log(quad.radial_nodes),
+                                       log_cut)
+        cap = np.array([_oracle_pow2(12.0 * (e + 1), 64) for e in eff])
+        seen = []
+        points = 0
+        for n, head in calls:
+            # row j is c_j r^j with c_2 = 1 and c_3 = 3
+            r = head[:, 3].real / (3.0 * head[:, 2].real)
+            node = np.abs(quad.radial_nodes - r[:, None]).argmin(axis=1)
+            assert np.all(n <= cap[node])
+            seen.extend(node.tolist())
+            points += n * len(head)
+        assert sorted(set(seen)) == list(range(quad.radial_count))
+        assert points <= cap.sum() / 2
+
+    def test_zeros_inside_refine_some_node(self, monkeypatch):
+        rng = np.random.default_rng(17)
+        calls = _record_transforms(monkeypatch)
+        refined = 0
+        for _ in range(20):
+            coeffs = _zeros_inside(rng, int(rng.integers(1, 41)))
+            for p in (1.5, 3.0):
+                calls.clear()
+                norms._pnorm_single_pass(coeffs, p, DiskQuadrature.build(
+                    0.5, 64), math.log(1e-9 * 1e-3 / len(coeffs)), 1e-9)
+                refined += sum(len(head) for _, head in calls) > 64
+        assert refined > 0
+
+    @staticmethod
+    def _cases():
+        rng = np.random.default_rng(17)
+        for _ in range(20):
+            yield _zeros_inside(rng, int(rng.integers(1, 41))), 0.5, 64
+        for m in (1, 2, 3):
+            for n in (1 << 10, 1 << 13):
+                coeffs = eigenfunction_truncation(m, n).coeffs
+                yield coeffs, 1.0, math.ceil(4.0 * math.sqrt(n + 1))
+
+    @pytest.mark.parametrize("rel_tol", [5e-5, 1e-9])
+    @pytest.mark.parametrize("p", [1.5, 3.0])
+    def test_within_tenth_of_tol_of_the_caps(self, p, rel_tol):
+        for coeffs, alpha, radial in self._cases():
+            coeffs = np.asarray(coeffs, dtype=complex)
+            quad = DiskQuadrature.build(alpha, radial)
+            cut = rel_tol * 1e-3 / len(coeffs)
+            got = norms._pnorm_single_pass(coeffs, p, quad, math.log(cut),
+                                           rel_tol)
+            want = oracle_pnorm_single_pass(coeffs, p, quad, cut)
+            assert abs(got - want) <= rel_tol / (10.0 * p) * want
 
 
 class TestSpaceSpec:
