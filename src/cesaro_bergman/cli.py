@@ -328,16 +328,13 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
 # the scans that --strict checks.
 
 def _scan_eigen(args: argparse.Namespace):
+    from concurrent.futures import ThreadPoolExecutor
+
     ms = args.m_list if args.m_list else [args.m]
-    if args.jobs > 1 and len(ms) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            scans = list(pool.map(
-                lambda m: eigen_membership_scan(m, args.p, args.alpha,
-                                                args.nmax), ms))
-    else:
-        scans = [eigen_membership_scan(m, args.p, args.alpha, args.nmax)
-                 for m in ms]
+    with ThreadPoolExecutor(max_workers=min(args.jobs, len(ms))) as pool:
+        scans = list(pool.map(
+            lambda m: eigen_membership_scan(m, args.p, args.alpha, args.nmax),
+            ms))
     results = [dict(m=m, expected_member=expected_eigen_membership(
                         m, args.p, args.alpha), **_scan_record(scan))
                for m, scan in zip(ms, scans)]

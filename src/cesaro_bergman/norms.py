@@ -263,51 +263,44 @@ class DiskQuadrature:
     """Tensor rule for int_D |f|^p (1-|z|)^alpha dA / pi.
 
     radial_nodes/radial_weights absorb the weight (1-r)^alpha r on [0, 1]
-    (the Gauss-Jacobi rule of the module docstring, cached per count);
-    angular_base, a power of two >= 2, is the minimum angular grid size.
-    Per radial node the angular size is a power of two >= p * eff / 2 + 1 at
-    even p (alias bound: exact for |f|^p); eff is the effective degree (cut
-    rel_tol/1000N).  At every other p a node starts at the power of two T >=
-    2 (eff + 1), where the T/2-point grid still samples f without aliasing,
-    and doubles T until the mean of |f|^p on T points is within 0.1 rel_tol
-    of the mean on its even points (the T/2-point sum, free from the same
-    FFT), or until T reaches the cap T >= 4 p (eff + 1).  The trapezoid rule
-    converges geometrically at a rate set by 1 - r, not by p (Trefethen &
-    Weideman, SIAM Rev. 2014), so most nodes stop below the cap.  A node
-    whose mean is not finite stops at once.  The driver sets
-    rel_error_estimate.
+    (the Gauss-Jacobi rule of the module docstring, cached per count).  Per
+    radial node the angular size is a power of two of at least 64 points
+    (_ANGULAR_MIN), and >= p * eff / 2 + 1 at even p (alias bound: exact for
+    |f|^p); eff is the effective degree (cut rel_tol/1000N).  At every other
+    p a node starts at the power of two T >= 2 (eff + 1), where the T/2-point
+    grid still samples f without aliasing, and doubles T until the mean of
+    |f|^p on T points is within 0.1 rel_tol of the mean on its even points
+    (the T/2-point sum, free from the same FFT), or until T reaches the cap
+    T >= 4 p (eff + 1).  The trapezoid rule converges geometrically at a rate
+    set by 1 - r, not by p (Trefethen & Weideman, SIAM Rev. 2014), so most
+    nodes stop below the cap.  A node whose mean is not finite stops at once.
+    The driver sets rel_error_estimate.
     """
 
-    alpha: float
     radial_nodes: np.ndarray
     radial_weights: np.ndarray
-    angular_base: int = 64
     rel_error_estimate: float = math.nan
 
     @classmethod
-    def build(cls, alpha: float, radial_count: int = 128,
-              angular_base: int = 64) -> "DiskQuadrature":
+    def build(cls, alpha: float, radial_count: int) -> "DiskQuadrature":
         if alpha < 0.0:
             raise ValueError("alpha must be >= 0")
         if radial_count < 2:
             raise ValueError("radial_count must be >= 2")
-        if not (float(angular_base).is_integer() and angular_base >= 2
-                and int(angular_base) & (int(angular_base) - 1) == 0):
-            raise ValueError("angular_base must be a power of two >= 2, "
-                             f"got {angular_base}")
-        nodes, weights = _radial_rule(float(alpha), int(radial_count))
-        return cls(float(alpha), nodes, weights, int(angular_base))
+        return cls(*_radial_rule(float(alpha), int(radial_count)))
 
     @property
     def radial_count(self) -> int:
         return len(self.radial_nodes)
 
 
-# angular sizes, powers of two >= angular_base: T >= p * eff / 2 + 1 at even
+# cap on the radial count of a pass, and the smallest angular grid
+_MAX_RADIAL = 4096
+_ANGULAR_MIN = 64
+# angular sizes, powers of two >= _ANGULAR_MIN: T >= p * eff / 2 + 1 at even
 # p, where the trapezoid rule is exact for |f|^p = |f^{p/2}|^2 of degree
-# p * eff / 2.  At every other p, T >= _ANGULAR_FACTOR * p * (eff + 1) is the
-# cap of the half-grid refinement (the fixed size of earlier releases), so
-# that no node gets more points than it used to
+# p * eff / 2.  At every other p, T >= _ANGULAR_FACTOR * p * (eff + 1) caps
+# the half-grid refinement
 _ANGULAR_FACTOR = 4.0
 _GRADE_ELEMENTS = 1 << 16  # terms per grading chunk: one for degree <= 8
 # angular points per FFT block: one rfft output holds 4 MB.  The top pass of
@@ -349,7 +342,7 @@ def _pnorm_single_pass(coeffs: np.ndarray, p: float, quad: DiskQuadrature,
                        log_cut: float, rel_tol: float) -> float:
     logr = np.log(quad.radial_nodes)
     eff = _effective_degrees(coeffs, logr, log_cut)
-    floor = math.floor(math.log2(quad.angular_base))
+    floor = _ANGULAR_MIN.bit_length() - 1
 
     def pow2(need):
         return 1 << np.maximum(np.ceil(np.log2(need)), floor).astype(int)
@@ -370,9 +363,13 @@ def _pnorm_single_pass(coeffs: np.ndarray, p: float, quad: DiskQuadrature,
             batch = max(1, _BATCH_ELEMENTS // t)
             for k in range(0, len(idx), batch):
                 sel = idx[k:k + batch]
-                jtop = int(eff[sel].max())
+                effs = eff[sel]
+                jtop = int(effs.max())
                 block = coeffs[: jtop + 1] * np.exp(
                     np.outer(logr[sel], np.arange(jtop + 1.0)))
+                if effs.min() < jtop:
+                    # each node keeps its terms up to its own effective degree
+                    block *= np.arange(jtop + 1) <= effs[:, None]
                 vals = np.abs((_fft.rfft if real else _fft.fft)(
                     block, n=t, axis=1))
                 vals **= p
@@ -390,67 +387,49 @@ def _pnorm_single_pass(coeffs: np.ndarray, p: float, quad: DiskQuadrature,
     return (2.0 * total) ** (1.0 / p)
 
 
+def _first_radial(n: int) -> int:
+    return min(512, max(32, math.ceil(4.0 * math.sqrt(n))))
+
+
 def norm_quadrature_with_rule(
     f: TaylorTruncation,
     p: float,
     alpha: float,
-    quad: DiskQuadrature | None = None,
     rel_tol: float = 1e-9,
-    max_radial: int = 4096,
 ) -> tuple[float, DiskQuadrature]:
     """A^p_alpha norm by adaptive tensor quadrature, with the final rule.
 
     Doubles the radial count (re-grading the angular grids accordingly) until
-    two successive values agree to rel_tol.  Without quad the first count is
-    min(512, max(32, ceil(4 sqrt(N)))) for N coefficients: 4 sqrt(N)
-    resolves the 1/N boundary layer, and the floor of 32 spares small inputs
-    the 64- and 128-node rule builds.  On 1600 seeded polynomials of degree
-    < 64 with zeros inside the disk, a start at 32 was never more than 0.52
-    rel_tol farther from a fine reference than a start at 64; with a floor of
-    16 one value was 2.1 rel_tol farther, while its estimate read 0.64
-    rel_tol.  Rounding 4 sqrt(N) up to a power of two, as before, started
-    scan degree 2^k (N = 2^k + 1) at 5.7 to 8 sqrt(N): eigen scans at
-    N_max = 2^13 ran the same passes on 1.6 times the radial nodes.  3 sqrt(N)
-    or the power of two at or above 2 sqrt(N) added passes to divergent
-    scans.
-
-    When the next doubling would pass max_radial, the last pass runs at
-    max_radial itself if that is at least 1.5 times the current count, and
-    the doubling stops otherwise (a smaller step would barely refine the
-    value, so two passes would agree by construction).  Raises ValueError
-    when max_radial is below the first count or a coefficient is NaN or
-    infinite (naming the first such index), and
-    :class:`NonConvergedQuadrature`, naming the last pass's count, when no
-    two passes agree, which signals an integrand too singular at the
-    boundary for the requested tolerance.  A pass that is not finite (|f|^p
-    overflows although every coefficient is finite) raises it at once, with
-    that value as last_value and rel_change nan.
+    two successive values agree to rel_tol.  The first count is min(512,
+    max(32, ceil(4 sqrt(N)))) for N coefficients: 4 sqrt(N) resolves the 1/N
+    boundary layer, and the floor of 32 spares small inputs the 64- and
+    128-node rule builds.  When the next doubling would pass the cap of 4096
+    nodes (_MAX_RADIAL), the last pass runs at the cap if that is at least 1.5
+    times the current count, and the doubling stops otherwise (a smaller step
+    would barely refine the value, so two passes would agree by
+    construction).  Raises ValueError when a coefficient is NaN or infinite
+    (naming the first such index), and :class:`NonConvergedQuadrature`,
+    naming the last pass's count, when no two passes agree, which signals an
+    integrand too singular at the boundary for the requested tolerance.  A
+    pass that is not finite (|f|^p overflows although every coefficient is
+    finite) raises it at once, with that value as last_value and rel_change
+    nan.
     """
     _check_exponents(p, alpha)
     if not 0.0 < rel_tol < 1.0:
         raise ValueError(f"rel_tol must lie in (0, 1), got {rel_tol}")
     coeffs = np.asarray(f.coeffs, dtype=complex)
     _check_finite_coeffs(coeffs)
-    if quad is not None and abs(quad.alpha - alpha) > 1e-12:
-        raise ValueError("quadrature was built for a different alpha")
-    if quad is not None:
-        radial = quad.radial_count
-        angular_base = quad.angular_base
-    else:
-        radial = min(512, max(32, math.ceil(4.0 * math.sqrt(len(coeffs)))))
-        angular_base = 64
-    if max_radial < radial:
-        raise ValueError(f"max_radial={max_radial} is below the first radial "
-                         f"count {radial}")
+    radial = _first_radial(len(coeffs))
     if not np.any(coeffs):
-        rule = DiskQuadrature.build(alpha, radial, angular_base)
+        rule = DiskQuadrature.build(alpha, radial)
         return 0.0, replace(rule, rel_error_estimate=0.0)
     # per-node cutoff, biasing the norm by at most rel_tol / 1000
     log_cut = math.log(rel_tol * 1e-3 / len(coeffs))
     prev = None
     rel_change = math.inf
     while True:
-        rule = DiskQuadrature.build(alpha, radial, angular_base)
+        rule = DiskQuadrature.build(alpha, radial)
         value = _pnorm_single_pass(coeffs, p, rule, log_cut, rel_tol)
         if not math.isfinite(value):
             raise NonConvergedQuadrature(
@@ -461,10 +440,10 @@ def norm_quadrature_with_rule(
             if rel_change <= rel_tol:
                 return value, replace(rule, rel_error_estimate=rel_change)
         prev = value
-        if 2 * radial <= max_radial:
+        if 2 * radial <= _MAX_RADIAL:
             radial *= 2
-        elif 2 * max_radial >= 3 * radial:
-            radial = max_radial
+        elif 2 * _MAX_RADIAL >= 3 * radial:
+            radial = _MAX_RADIAL
         else:
             break
     raise NonConvergedQuadrature(
@@ -472,18 +451,10 @@ def norm_quadrature_with_rule(
         "radial nodes", last_value=value, rel_change=rel_change)
 
 
-def norm_quadrature(
-    f: TaylorTruncation,
-    p: float,
-    alpha: float,
-    quad: DiskQuadrature | None = None,
-    rel_tol: float = 1e-9,
-    max_radial: int = 4096,
-) -> float:
+def norm_quadrature(f: TaylorTruncation, p: float, alpha: float,
+                    rel_tol: float = 1e-9) -> float:
     """A^p_alpha norm by adaptive tensor quadrature (value only)."""
-    value, _ = norm_quadrature_with_rule(f, p, alpha, quad=quad,
-                                         rel_tol=rel_tol, max_radial=max_radial)
-    return value
+    return norm_quadrature_with_rule(f, p, alpha, rel_tol)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -560,6 +531,21 @@ def _log_monomial_ratio(j: np.ndarray, p: float, gamma: float,
             - log_beta(j * p + 2.0, mu + 1.0)) / p
 
 
+def _line_fit(x: np.ndarray, y: np.ndarray, flat_r2: float = 0.0):
+    """Least-squares line y ~ intercept + slope x.
+
+    Returns (slope, fitted values, residual sum of squares, R^2).  R^2 is
+    flat_r2 when the spread of y is 0 in floating point (the residual is 0
+    too, so R^2 is 0/0).
+    """
+    slope, intercept = np.polyfit(x, y, 1)
+    fit = intercept + slope * x
+    ss_res = float(np.sum((y - fit) ** 2))
+    ss_tot = float(np.sum((y - y.mean()) ** 2))
+    r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else flat_r2
+    return slope, fit, ss_res, r2
+
+
 def inclusion_ratio_scan(p: float, mu: float, gamma: float,
                          j_max: int) -> InclusionScan:
     """Ratios d_j = ||z^j||_{p,gamma} / ||z^j||_{p,mu} with a fitted decay law.
@@ -572,19 +558,16 @@ def inclusion_ratio_scan(p: float, mu: float, gamma: float,
     _check_exponents(p, gamma)
     if not (0.0 < mu < gamma):
         raise ValueError("need 0 < mu < gamma")
-    if j_max < 8:
-        raise ValueError("j_max too small to fit a decay law")
+    if j_max < 10:
+        raise ValueError(f"j_max must be >= 10 to fit the decay law on 3 "
+                         f"points, got {j_max}")
     j = np.arange(1, j_max + 1, dtype=float)
     log_ratio = _log_monomial_ratio(j, p, gamma, mu)
     ratios = np.exp(log_ratio)
     # fit on the upper half of the log range to read off the asymptote
     lo = max(8.0, math.sqrt(j_max))
     mask = j >= lo
-    x = np.log(j[mask])
-    y = log_ratio[mask]
-    slope, intercept = np.polyfit(x, y, 1)
-    fit = intercept + slope * x
-    ss_res = float(np.sum((y - fit) ** 2))
-    ss_tot = float(np.sum((y - np.mean(y)) ** 2))
-    r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
+    # the log ratios have no spread in floating point only at p near 1e200
+    # and above, where they are still a line
+    slope, _, _, r2 = _line_fit(np.log(j[mask]), log_ratio[mask], 1.0)
     return InclusionScan(j.astype(int), ratios, float(slope), r2)

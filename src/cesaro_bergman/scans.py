@@ -12,7 +12,6 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -20,6 +19,7 @@ from .norms import (
     NonConvergedQuadrature,
     SpaceKind,
     SpaceSpec,
+    _line_fit,
     _log_monomial_ratio,
     norm_quadrature,
     parseval_weights,
@@ -29,7 +29,6 @@ from .series import (
     TaylorTruncation,
     binomial_series_coeffs,
     cesaro_inverse_apply,
-    eigen_residual_exact,
     eigenfunction_truncation,
 )
 
@@ -146,20 +145,11 @@ def classify_growth(
     y = v[start:]
     if np.any(y <= 0.0):
         return GrowthClass(GrowthKind.UNDETERMINED)
-    ly = np.log(y)
-    bp, ap = np.polyfit(x, ly, 1)
-    fit_p = ap + bp * x
-    ss_tot_p = float(np.sum((ly - ly.mean()) ** 2))
-    ss_res_p = float(np.sum((ly - fit_p) ** 2))
-    r2_p = 1.0 - ss_res_p / ss_tot_p if ss_tot_p > 0 else 0.0
+    bp, fit_p, ss_res_p, r2_p = _line_fit(x, np.log(y))
     sxx = float(np.sum((x - x.mean()) ** 2))
     dof = max(len(x) - 2, 1)
     stderr = math.sqrt(ss_res_p / dof / sxx) if sxx > 0 else math.inf
-    bl, al = np.polyfit(x, y, 1)
-    fit_l = al + bl * x
-    ss_tot_l = float(np.sum((y - y.mean()) ** 2))
-    ss_res_l = float(np.sum((y - fit_l) ** 2))
-    r2_l = 1.0 - ss_res_l / ss_tot_l if ss_tot_l > 0 else 0.0
+    bl, fit_l, _, r2_l = _line_fit(x, y)
     # compare the two models in value space
     err_p = float(np.sqrt(np.mean((np.exp(fit_p) - y) ** 2))) / float(y.mean())
     err_l = float(np.sqrt(np.mean((fit_l - y) ** 2))) / float(y.mean())
@@ -260,11 +250,6 @@ def seminorm_family(
 # the scans
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
-def _eigen_oracle_checked(m: int) -> bool:
-    return eigen_residual_exact(m, 360)
-
-
 def expected_eigen_membership(m: int, p: float, alpha: float) -> bool:
     """Eigenvalue threshold: 1/m is an eigenvalue iff m < (2 + alpha)/p."""
     return m < (2.0 + alpha) / p
@@ -276,8 +261,6 @@ def eigen_membership_scan(m: int, p: float, alpha: float,
     A^p_alpha; Converged is expected exactly when m < (2+alpha)/p."""
     if m < 1:
         raise ValueError("m must be a positive integer")
-    if not _eigen_oracle_checked(m):  # exact-arithmetic eigen identity
-        raise AssertionError("eigen residual oracle failed; refusing to scan")
     degrees = scan_degrees(n_max)
     coeffs = eigenfunction_truncation(m, degrees[-1]).coeffs
     return _norm_scan(degrees, truncation_norms(coeffs, p, alpha, degrees))

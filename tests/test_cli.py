@@ -324,6 +324,15 @@ class TestScanCommand:
         record = json.loads(out)
         assert abs(record["exponent"] + 0.5) < 0.01
 
+    @pytest.mark.parametrize("jmax", ["8", "9"])
+    def test_inclusion_fit_below_three_points_exits_2(self, capsys, jmax):
+        # the decay law is fitted on j >= 8: --jmax 8 fitted one point (with
+        # a RankWarning and r_squared 1), --jmax 9 two points (r_squared 1)
+        code, out, err = run_cli(capsys, "scan", "inclusion", "-p", "2",
+                                 "--mu", "1", "--gamma", "2", "--jmax", jmax)
+        assert code == 2 and out == ""
+        assert "j_max must be >= 10" in err
+
     @pytest.mark.parametrize("flag, value", [("-p", "nan"),
                                              ("--gamma", "inf")])
     def test_inclusion_nonfinite_exponents_exit_2(self, capsys, flag, value):
@@ -405,6 +414,10 @@ class TestScanCommand:
         kinds = {r["m"]: r["classification"]["kind"] for r in record["results"]}
         assert kinds[1] == "converged"
         assert kinds[3] == "power_divergent"
+        code, serial, _ = run_cli(capsys, "scan", "eigen", "--m-list", "1,3",
+                                  "-p", "2", "--alpha", "2", "--nmax", "2048",
+                                  "--jobs", "1")
+        assert code == 0 and serial == out
 
     @pytest.mark.parametrize("jobs", ["0", "-3"])
     def test_eigen_jobs_below_one_exits_2(self, capsys, monkeypatch, jobs):

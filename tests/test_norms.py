@@ -11,7 +11,7 @@ import warnings
 import numpy as np
 import pytest
 import scipy.fft
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import betaln, gammaln, roots_jacobi
 
@@ -128,7 +128,7 @@ def _oracle_pow2(need, base):
                     int(math.log2(base)))
 
 
-def oracle_pnorm_single_pass(coeffs, p, quad, cut, rel_tol=None):
+def oracle_pnorm_single_pass(coeffs, p, quad, cut, rel_tol=None, base=64):
     # the per-node loop: grading by linear-scale cutoff and complex FFTs.  At
     # even p the grid is T >= 4 p (eff + 1), where the trapezoid sum is
     # exact.  At every other p a node starts at T >= 2 (eff + 1) and doubles
@@ -140,7 +140,6 @@ def oracle_pnorm_single_pass(coeffs, p, quad, cut, rel_tol=None):
     w = quad.radial_weights
     js = np.arange(len(coeffs), dtype=float)
     absc = np.abs(coeffs)
-    base = quad.angular_base
     even = p % 2.0 == 0.0
     total = 0.0
     for i in range(len(r)):
@@ -220,6 +219,16 @@ def _record_transforms(monkeypatch):
     return calls
 
 
+class _Drawn:
+    # stands in for st.data() in an @example: each draw returns the next of
+    # the given values
+    def __init__(self, *values):
+        self.values = list(values)
+
+    def draw(self, strategy):
+        return self.values.pop(0)
+
+
 class TestSinglePassOracle:
     @settings(max_examples=60, deadline=None)
     @given(re=st.lists(_coeff, min_size=1, max_size=301), data=st.data(),
@@ -228,6 +237,11 @@ class TestSinglePassOracle:
            p=st.sampled_from([1.1, 1.5, 2.0, 3.0, 4.0, 6.0]),
            radial=st.sampled_from([2, 8, 64, 128]),
            alpha=st.sampled_from([0.0, 1.0, 3.5]))
+    # node 0 (effective degree 1) shares its FFT block with node 1 (degree
+    # 18): the block must not carry node 0's degree-18 term, 2.5e-9 of its
+    # largest term, just under the cut 2.6e-9 tied to 5e-5
+    @example(re=[0.0] * 19, data=_Drawn([0.003, 0.009] + [0.0] * 16 + [0.001]),
+             trailing=0, complex_=True, decay=1.0, p=1.1, radial=2, alpha=0.0)
     def test_matches_per_node_loop(self, re, data, trailing, complex_, decay,
                                    p, radial, alpha):
         coeffs = np.array(re[: 301 - trailing] + [0.0] * trailing,
@@ -255,8 +269,9 @@ class TestSinglePassOracle:
         for z0 in zeros:
             coeffs = np.convolve(coeffs, [-z0, 1.0])
         calls = _record_transforms(monkeypatch)
+        monkeypatch.setattr(norms, "_ANGULAR_MIN", 2)
         for alpha in (0.0, 1.0, 2.5):
-            quad = DiskQuadrature.build(alpha, 16, angular_base=2)
+            quad = DiskQuadrature.build(alpha, 16)
             got = norms._pnorm_single_pass(coeffs, 4.0, quad,
                                            math.log(1e-20), 1e-9)
             want = math.sqrt(norm_parseval(
@@ -551,19 +566,20 @@ class TestQuadrature:
             total = 2.0 * float(np.sum(quad.radial_weights))
             assert abs(total - expect) / expect < 1e-12
 
-    def test_nonconvergence_raises(self):
+    def test_nonconvergence_raises(self, monkeypatch):
         # |f|^3 (1-|z|)^2 with f = (1+z)^-1.25 is barely integrable: the
         # passes at 254 and 508 radial nodes differ by about 1.7e-10
         s = (2.0 + 1.0 - 0.5) / 2.0
         f = binomial_series_coeffs(s, BinomialSign.PLUS_Z, 4000)
+        monkeypatch.setattr(norms, "_MAX_RADIAL", 512)
         with pytest.raises(NonConvergedQuadrature) as exc:
-            norm_quadrature(f, 3.0, 2.0, rel_tol=1e-10, max_radial=512)
+            norm_quadrature(f, 3.0, 2.0, rel_tol=1e-10)
         assert math.isfinite(exc.value.last_value)
         assert 1e-10 < exc.value.rel_change < 1e-8
 
     def test_overflow_stops_at_the_first_pass(self, monkeypatch):
         # finite coefficients up to 3.2e217, but |f|^1.5 overflows: the
-        # doubling used to run to max_radial with every pass reading inf and
+        # doubling used to run to the cap with every pass reading inf and
         # overflow warnings from every pass
         f = eigenfunction_truncation(200, 1024)
         builds = []
@@ -595,9 +611,10 @@ class TestQuadrature:
         monkeypatch.setattr(norms, "_radial_rule",
                             lambda alpha, count: (np.ones(count),) * 2)
         monkeypatch.setattr(norms, "_pnorm_single_pass", spy)
+        monkeypatch.setattr(norms, "_MAX_RADIAL", max_radial)
         with pytest.raises(NonConvergedQuadrature) as exc:
             norm_quadrature_with_rule(trunc(np.ones(n)), 3.0, 1.0,
-                                      rel_tol=1e-9, max_radial=max_radial)
+                                      rel_tol=1e-9)
         assert f"at {counts[-1]} radial nodes" in str(exc.value)
         return counts
 
@@ -609,7 +626,7 @@ class TestQuadrature:
         assert self._pass_counts(monkeypatch, n, first) == [first]
 
     @pytest.mark.parametrize("n, last", [
-        # 2448 -> 4096 is a step of 1.67: the last pass runs at max_radial
+        # 2448 -> 4096 is a step of 1.67: the last pass runs at the cap
         (1461, [2448, 4096]),
         # 4064 -> 4096 is below 1.5: the doubling stops at 4064
         (4001, [2032, 4064])])
@@ -618,39 +635,14 @@ class TestQuadrature:
         assert counts[-2:] == last
         assert all(b == 2 * a for a, b in zip(counts, counts[1:-1]))
 
-    def test_nonconvergence_names_the_last_pass(self):
-        # the doubling 254 -> 508 stops below max_radial = 700 (1016 > 700
-        # and 700 < 1.5 * 508): the message names 508, not 700
+    def test_nonconvergence_names_the_last_pass(self, monkeypatch):
+        # the doubling 254 -> 508 stops below a cap of 700 (1016 > 700 and
+        # 700 < 1.5 * 508): the message names 508, not 700
         f = binomial_series_coeffs(1.25, BinomialSign.PLUS_Z, 4000)
+        monkeypatch.setattr(norms, "_MAX_RADIAL", 700)
         with pytest.raises(NonConvergedQuadrature,
                            match=r"at 508 radial nodes"):
-            norm_quadrature(f, 3.0, 2.0, rel_tol=1e-10, max_radial=700)
-
-    @pytest.mark.parametrize("n, max_radial", [(2, 16), (64, 16), (65, 32),
-                                               (4001, 128)])
-    def test_max_radial_below_first_count_rejected(self, n, max_radial):
-        # refused before any pass: it used to raise NonConvergedQuadrature
-        # with a NaN value without evaluating anything
-        with pytest.raises(ValueError, match="max_radial"):
-            norm_quadrature_with_rule(trunc(np.ones(n)), 3.0, 1.0,
-                                      max_radial=max_radial)
-
-    def test_max_radial_below_given_rule_rejected(self):
-        with pytest.raises(ValueError, match="max_radial"):
-            norm_quadrature_with_rule(trunc([1, 1]), 3.0, 1.0,
-                                      quad=DiskQuadrature.build(1.0, 64),
-                                      max_radial=32)
-
-    @pytest.mark.parametrize("base", [0, -4, 1, 3, 100, 2.5, math.nan,
-                                      math.inf])
-    def test_bad_angular_base_rejected(self, base):
-        with pytest.raises(ValueError, match="angular_base"):
-            DiskQuadrature.build(1.0, 16, angular_base=base)
-
-    @pytest.mark.parametrize("base", [2, 64, 1024])
-    def test_angular_base_powers_of_two_accepted(self, base):
-        assert DiskQuadrature.build(1.0, 16, angular_base=base).angular_base \
-            == base
+            norm_quadrature(f, 3.0, 2.0, rel_tol=1e-10)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf,
                                      complex(1.0, math.nan)])
@@ -663,15 +655,10 @@ class TestQuadrature:
         with pytest.raises(ValueError, match="coefficient 17 is not finite"):
             norm_quadrature_with_rule(TaylorTruncation(c), 3.0, 1.0)
 
-    def test_alpha_mismatch_rejected(self):
-        quad = DiskQuadrature.build(1.0, 64)
-        with pytest.raises(ValueError):
-            norm_quadrature(trunc([1, 1]), 2.0, 2.0, quad=quad)
-
     @pytest.mark.parametrize("rel_tol", [math.nan, -1.0, 0.0, math.inf, 1.0])
     def test_bad_rel_tol_rejected(self, rel_tol):
         # refused before any pass: a bad tolerance used to run the doubling
-        # to max_radial and end in NonConvergedQuadrature
+        # to the cap and end in NonConvergedQuadrature
         with pytest.raises(ValueError, match="rel_tol"):
             norm_quadrature_with_rule(trunc([1, 1]), 3.0, 1.0, rel_tol=rel_tol)
 
@@ -696,8 +683,9 @@ def test_pool_norms_match_references():
     assert checked == 96
 
 
-def _assert_tracks_old_start(seed, draws, min_degree, max_degree, old_first):
-    # DiskQuadrature.build(alpha, old_first(N)) reproduces the old start.
+def _assert_tracks_old_start(monkeypatch, seed, draws, min_degree,
+                             max_degree, old_first):
+    # _first_radial = old_first reproduces the old start.
     # A value may differ from the old start's by more than rel_tol only where
     # the old value is itself off (an interior zero that the unrefined
     # angular grids do not resolve): there it must be no farther from a fine
@@ -715,27 +703,29 @@ def _assert_tracks_old_start(seed, draws, min_degree, max_degree, old_first):
         rel_tol = float(rng.choice([1e-6, 1e-9]))
         f = TaylorTruncation(c)
         new, _ = norm_quadrature_with_rule(f, p, alpha, rel_tol=rel_tol)
-        old, _ = norm_quadrature_with_rule(
-            f, p, alpha, quad=DiskQuadrature.build(alpha, old_first(len(c))),
-            rel_tol=rel_tol)
+        with monkeypatch.context() as patch:
+            patch.setattr(norms, "_first_radial", old_first)
+            old, _ = norm_quadrature_with_rule(f, p, alpha, rel_tol=rel_tol)
         if abs(new - old) <= rel_tol * old:
             continue
-        fine = DiskQuadrature.build(alpha, 2048, angular_base=1 << 15)
-        ref = norms._pnorm_single_pass(c, p, fine, math.log(1e-25), 1e-12)
+        fine = DiskQuadrature.build(alpha, 2048)
+        with monkeypatch.context() as patch:
+            patch.setattr(norms, "_ANGULAR_MIN", 1 << 15)
+            ref = norms._pnorm_single_pass(c, p, fine, math.log(1e-25), 1e-12)
         assert abs(new - ref) <= abs(old - ref) + rel_tol * ref
 
 
-def test_small_inputs_track_the_64_node_start():
+def test_small_inputs_track_the_64_node_start(monkeypatch):
     # N <= 64 coefficients start at 32 radial nodes, where they started at
     # 64 before
-    _assert_tracks_old_start(5, 400, 1, 63, lambda n: 64)
+    _assert_tracks_old_start(monkeypatch, 5, 400, 1, 63, lambda n: 64)
 
 
-def test_start_tracks_the_power_of_two_start():
+def test_start_tracks_the_power_of_two_start(monkeypatch):
     # N > 64 coefficients start at ceil(4 sqrt(N)) radial nodes, where they
     # started at the power of two at or above it
     _assert_tracks_old_start(
-        11, 60, 65, 512,
+        monkeypatch, 11, 60, 65, 512,
         lambda n: 1 << math.ceil(math.log2(4.0 * math.sqrt(n))))
 
 
@@ -746,14 +736,16 @@ def _zeros_inside(rng, degree):
     return np.poly(zeros)[::-1].astype(complex)
 
 
-def _tied_pass(coeffs, p, alpha, rel_tol, radial):
-    # with max_radial = radial the driver runs one pass, at its own cutoff
-    quad = DiskQuadrature.build(alpha, radial)
-    with pytest.raises(NonConvergedQuadrature) as exc:
-        norm_quadrature_with_rule(TaylorTruncation(coeffs), p, alpha,
-                                  quad=quad, rel_tol=rel_tol,
-                                  max_radial=radial)
-    return exc.value.last_value, quad
+def _tied_pass(monkeypatch, coeffs, p, alpha, rel_tol, radial):
+    # starting and capped at radial nodes, the driver runs one pass, at its
+    # own cutoff
+    with monkeypatch.context() as patch:
+        patch.setattr(norms, "_first_radial", lambda n: radial)
+        patch.setattr(norms, "_MAX_RADIAL", radial)
+        with pytest.raises(NonConvergedQuadrature) as exc:
+            norm_quadrature_with_rule(TaylorTruncation(coeffs), p, alpha,
+                                      rel_tol=rel_tol)
+    return exc.value.last_value, DiskQuadrature.build(alpha, radial)
 
 
 class TestTiedCutoff:
@@ -764,22 +756,24 @@ class TestTiedCutoff:
 
     @pytest.mark.parametrize("rel_tol", [5e-5, 1e-9])
     @pytest.mark.parametrize("p", [1.5, 3.0, 4.0])
-    def test_eigen_bias_within_bound(self, p, rel_tol):
+    def test_eigen_bias_within_bound(self, monkeypatch, p, rel_tol):
         for m in (1, 2, 3):
             for n in (1 << 6, 1 << 10, 1 << 13):
                 coeffs = eigenfunction_truncation(m, n - 1).coeffs
-                tied, quad = _tied_pass(coeffs, p, 1.0, rel_tol, 128)
+                tied, quad = _tied_pass(monkeypatch, coeffs, p, 1.0, rel_tol,
+                                        128)
                 full = norms._pnorm_single_pass(coeffs, p, quad,
                                                 math.log(1e-20), rel_tol)
                 assert abs(tied - full) <= rel_tol / 1000 * full
 
     @pytest.mark.parametrize("rel_tol", [5e-5, 1e-9])
-    def test_zeros_inside_bias_within_bound(self, rel_tol):
+    def test_zeros_inside_bias_within_bound(self, monkeypatch, rel_tol):
         rng = np.random.default_rng(17)
         for _ in range(20):
             coeffs = _zeros_inside(rng, int(rng.integers(1, 41)))
             for p in (1.5, 3.0):
-                tied, quad = _tied_pass(coeffs, p, 0.5, rel_tol, 64)
+                tied, quad = _tied_pass(monkeypatch, coeffs, p, 0.5, rel_tol,
+                                        64)
                 full = norms._pnorm_single_pass(coeffs, p, quad,
                                                 math.log(1e-20), rel_tol)
                 assert abs(tied - full) <= rel_tol / 1000 * full
@@ -803,7 +797,7 @@ class TestTiedCutoff:
             return seen[-1]
 
         monkeypatch.setattr(norms, "_effective_degrees", spy)
-        _, quad = _tied_pass(coeffs, p, 1.0, rel_tol, 64)
+        _, quad = _tied_pass(monkeypatch, coeffs, p, 1.0, rel_tol, 64)
         r = quad.radial_nodes[:, None]
         terms = np.abs(coeffs) * r ** np.arange(len(coeffs))
         dropped = np.where(np.arange(len(coeffs)) > seen[0][:, None],
@@ -947,6 +941,13 @@ class TestInclusionScan:
     def test_identity_inclusion_rejected(self):
         with pytest.raises(ValueError):
             inclusion_ratio_scan(2.0, 1.0, 1.0, 100)
+
+    def test_fit_needs_three_points(self):
+        # the fit runs over j >= 8
+        with pytest.raises(ValueError, match="j_max must be >= 10"):
+            inclusion_ratio_scan(2.0, 1.0, 2.0, 9)
+        scan = inclusion_ratio_scan(2.0, 1.0, 2.0, 10)
+        assert -0.5 < scan.exponent < 0.0 and scan.r_squared < 1.0
 
 
 class TestParsevalProperties:
