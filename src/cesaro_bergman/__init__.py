@@ -37,15 +37,11 @@ from .scans import (
     truncation_norms,
 )
 from .series import (
-    BinomialSign,
     TaylorTruncation,
     binomial_series_coeffs,
     cesaro_apply,
     cesaro_inverse_apply,
-    differentiate,
     eigenfunction_truncation,
-    multiply_by_one_minus_z,
-    multiply_by_z,
     recover_from_cesaro,
 )
 from .spectra import (

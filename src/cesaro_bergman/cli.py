@@ -41,7 +41,6 @@ from .scans import (
     seminorm_family,
 )
 from .series import (
-    BinomialSign,
     TaylorTruncation,
     binomial_series_coeffs,
     eigenfunction_truncation,
@@ -401,7 +400,7 @@ def _scan_schauder(args: argparse.Namespace):
     elif args.function == "eigenfunction":
         f = eigenfunction_truncation(args.m, top)
     else:  # binomial-plus
-        f = binomial_series_coeffs(args.exponent, BinomialSign.PLUS_Z, top)
+        f = binomial_series_coeffs(args.exponent, top)
     spec = SpaceSpec(args.p, args.alpha, SpaceKind(args.kind))
     report = schauder_partial_sum_check(
         f, spec, args.nmax, steps=tuple(_parse_int_list(args.basis_steps)))

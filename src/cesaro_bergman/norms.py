@@ -283,8 +283,8 @@ class DiskQuadrature:
 
     @classmethod
     def build(cls, alpha: float, radial_count: int) -> "DiskQuadrature":
-        if alpha < 0.0:
-            raise ValueError("alpha must be >= 0")
+        if not (math.isfinite(alpha) and alpha >= 0.0):
+            raise ValueError(f"alpha must be finite and >= 0, got {alpha}")
         if radial_count < 2:
             raise ValueError("radial_count must be >= 2")
         return cls(*_radial_rule(float(alpha), int(radial_count)))

@@ -25,7 +25,6 @@ from .norms import (
     parseval_weights,
 )
 from .series import (
-    BinomialSign,
     TaylorTruncation,
     binomial_series_coeffs,
     cesaro_inverse_apply,
@@ -52,6 +51,8 @@ __all__ = [
 ]
 
 DEFAULT_N_MAX = 1 << 14
+_SCAN_START = 16  # first scan degree
+_TOL_CONV, _R2_MIN, _MIN_POWER = 1e-2, 0.99, 0.01  # see classify_growth
 _SCAN_QUAD_TOL = 5e-5  # classification needs ~1% values; leave margin
 
 
@@ -91,16 +92,16 @@ class NormScan:
     classification: GrowthClass
 
 
-def scan_degrees(n_max: int = DEFAULT_N_MAX, start: int = 16) -> list[int]:
-    """Powers of two from start to n_max (n_max appended if not a power).
+def scan_degrees(n_max: int = DEFAULT_N_MAX) -> list[int]:
+    """Powers of two from _SCAN_START to n_max (n_max appended if not a power).
 
-    classify_growth needs 4 degrees, so n_max must exceed 4 * start.
+    classify_growth needs 4 degrees, so n_max must exceed 4 * _SCAN_START.
     """
-    if n_max <= 4 * start:
-        raise ValueError(f"n_max must be >= {4 * start + 1} to give the "
+    if n_max <= 4 * _SCAN_START:
+        raise ValueError(f"n_max must be >= {4 * _SCAN_START + 1} to give the "
                          f"classifier 4 scan degrees, got {n_max}")
     out = []
-    d = start
+    d = _SCAN_START
     while d <= n_max:
         out.append(d)
         d *= 2
@@ -109,21 +110,15 @@ def scan_degrees(n_max: int = DEFAULT_N_MAX, start: int = 16) -> list[int]:
     return out
 
 
-def classify_growth(
-    degrees,
-    values,
-    tol_conv: float = 1e-2,
-    r2_min: float = 0.99,
-    min_power: float = 0.01,
-) -> GrowthClass:
+def classify_growth(degrees, values) -> GrowthClass:
     """Label a nonnegative scan sequence.
 
-    Converged: the last two relative increments are below tol_conv, or the
+    Converged: the last two relative increments are below _TOL_CONV, or the
     sequence decreases (tail scans).  Divergent labels come from comparing a
     power law log v = a + b log N against v = a + b log N over the last half
     of the points, and over the last 3 when the half has fewer (a two-point
     fit would report R^2 = 1); the better model wins if its own R^2 exceeds
-    r2_min.
+    _R2_MIN, a power law only with b > _MIN_POWER.
     """
     d = np.asarray(degrees, dtype=float)
     v = np.asarray(values, dtype=float)
@@ -138,7 +133,7 @@ def classify_growth(
     if np.all(diffs <= 1e-12 * scale) and v[-1] < v[0]:
         return GrowthClass(GrowthKind.CONVERGED)  # decreasing tail scan
     rel_inc = np.abs(diffs) / np.maximum(v[1:], 1e-300)
-    if rel_inc[-1] < tol_conv and rel_inc[-2] < tol_conv:
+    if rel_inc[-1] < _TOL_CONV and rel_inc[-2] < _TOL_CONV:
         return GrowthClass(GrowthKind.CONVERGED)
     start = min(len(v) // 2, len(v) - 3)
     x = np.log(d[start:])
@@ -158,10 +153,10 @@ def classify_growth(
     first, second = (power, logc) if err_p <= err_l else (logc, power)
     for cand in (first, second):
         if cand.kind is GrowthKind.POWER_DIVERGENT:
-            if r2_p > r2_min and bp > min_power:
+            if r2_p > _R2_MIN and bp > _MIN_POWER:
                 return cand
         else:
-            if r2_l > r2_min and bl > 0.0:
+            if r2_l > _R2_MIN and bl > 0.0:
                 return cand
     return GrowthClass(GrowthKind.UNDETERMINED, r_squared=max(r2_p, r2_l))
 
@@ -312,7 +307,7 @@ def counterexample_blowup(
     if any(n < first for n in tested):
         raise ValueError(f"steps must be >= {first} (1/n < epsilon"
                          f"{', finer than the home step' if lb else ''})")
-    source = binomial_series_coeffs(s, BinomialSign.PLUS_Z, degrees[-1]).coeffs
+    source = binomial_series_coeffs(s, degrees[-1]).coeffs
     inverse = cesaro_inverse_apply(TaylorTruncation(source)).coeffs
     source_scan = _norm_scan(degrees, truncation_norms(
         source, p, spec.step_alpha(home), degrees))

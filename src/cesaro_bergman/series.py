@@ -10,7 +10,6 @@ rounding.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 
@@ -18,13 +17,9 @@ import numpy as np
 
 __all__ = [
     "TaylorTruncation",
-    "BinomialSign",
     "cesaro_apply",
     "cesaro_inverse_apply",
     "recover_from_cesaro",
-    "differentiate",
-    "multiply_by_z",
-    "multiply_by_one_minus_z",
     "binomial_series_coeffs",
     "eigenfunction_truncation",
     "eigen_residual_exact",
@@ -73,41 +68,15 @@ def cesaro_inverse_apply(h: TaylorTruncation) -> TaylorTruncation:
 
 
 def recover_from_cesaro(g: TaylorTruncation) -> TaylorTruncation:
-    """Recover f from g = C(f) via f = (1-z)(z g)'.
+    """Recover f from g = C(f) as C^{-1} g without its last coefficient.
 
-    Returns a degree-(N-1) truncation; the degree-boundary coefficient is
-    dropped because (z g)' mixes it with the unknown coefficient of order N+1.
+    Coefficient k of (1-z)(g + z g') reads only g_k and g_(k-1), so the
+    dropped one is exact too, (N+1) g_N - N g_(N-1) = f_N; the result is
+    the degree-(N-1) truncation of f.
     """
     if g.degree < 1:
         raise ValueError("recover_from_cesaro requires degree >= 1")
-    inner = differentiate(multiply_by_z(g))  # (z g)', degree N, exact
-    full = multiply_by_one_minus_z(inner)
-    return TaylorTruncation(full.coeffs[: g.degree])
-
-
-def differentiate(f: TaylorTruncation) -> TaylorTruncation:
-    """Termwise derivative; degree drops by one (constants map to [0])."""
-    if f.degree == 0:
-        return TaylorTruncation(np.zeros(1, dtype=complex))
-    j = np.arange(1, f.degree + 1)
-    return TaylorTruncation(f.coeffs[1:] * j)
-
-
-def multiply_by_z(f: TaylorTruncation) -> TaylorTruncation:
-    """Multiplication by z; degree rises by one, exact."""
-    return TaylorTruncation(np.concatenate(([0.0 + 0.0j], f.coeffs)))
-
-
-def multiply_by_one_minus_z(f: TaylorTruncation) -> TaylorTruncation:
-    """Multiplication by (1 - z); degree rises by one, exact."""
-    out = np.concatenate((f.coeffs, [0.0 + 0.0j]))
-    out[1:] -= f.coeffs
-    return TaylorTruncation(out)
-
-
-class BinomialSign(enum.Enum):
-    PLUS_Z = "plus_z"
-    MINUS_Z = "minus_z"
+    return TaylorTruncation(cesaro_inverse_apply(g).coeffs[:-1])
 
 
 def _fill_binomial(out: np.ndarray, exponent: float, flip: float) -> None:
@@ -123,22 +92,20 @@ def _fill_binomial(out: np.ndarray, exponent: float, flip: float) -> None:
     np.multiply.accumulate(ratios, out=ratios)
 
 
-def binomial_series_coeffs(
-    exponent: float, sign: BinomialSign, degree: int
-) -> TaylorTruncation:
-    """Truncation of the binomial series (1 +/- z)^(-s) for s > 0.
+def binomial_series_coeffs(exponent: float, degree: int) -> TaylorTruncation:
+    """Truncation of the binomial series (1 + z)^(-s) for s > 0.
 
-    c_k = (+-1)^k s (s+1) ... (s+k-1) / k!, the minus sign for (1 + z): one
-    cumulative product of the real ratios (+-1)(s + k)/(k + 1).  Its
-    roundings are unbiased, so the relative error stays near 1e-13 at
-    k = 2^20, and s = 1 gives exactly +-1 at every index.
+    c_k = (-1)^k s (s+1) ... (s+k-1) / k!: one cumulative product of the
+    real ratios -(s + k)/(k + 1).  Its roundings are unbiased, so the
+    relative error stays near 1e-13 at k = 2^20, and s = 1 gives exactly
+    (-1)^k at every index.
     """
     if not math.isfinite(exponent) or exponent <= 0.0:
         raise ValueError("binomial exponent must be finite and positive")
     if degree < 0:
         raise ValueError("degree must be nonnegative")
     c = np.empty(degree + 1)
-    _fill_binomial(c, exponent, -1.0 if sign is BinomialSign.PLUS_Z else 1.0)
+    _fill_binomial(c, exponent, -1.0)
     return TaylorTruncation(c)
 
 

@@ -82,43 +82,24 @@ class SpectralDescription:
     def disk_radius(self) -> float:
         return 0.5 / self.disk_r
 
-    def disk_member_direct(self, lam: complex) -> bool:
-        d = abs(lam - self.disk_center)
-        if self.disk_boundary is DiskBoundary.CLOSED:
-            return d <= self.disk_radius
-        return d < self.disk_radius
-
-    def disk_member_reciprocal(self, lam: complex) -> bool:
-        """Equivalent predicate Re(1/lam) > r (>= for the closed disk)."""
-        if lam == 0:
-            return self.disk_boundary is DiskBoundary.CLOSED
-        re = (1.0 / lam).real
-        if self.disk_boundary is DiskBoundary.CLOSED:
-            return re >= self.disk_r
-        return re > self.disk_r
-
-    def membership(self, lam: complex, tol: float = _POINT_TOL) -> Membership:
-        if self.includes_origin and abs(lam) <= tol:
+    def membership(self, lam: complex) -> Membership:
+        if _member_mask(self, np.array([lam], dtype=complex))[0]:
             return Membership.IN
-        for pt in self.points:
-            if abs(lam - pt) <= tol:
-                return Membership.IN
-        if self.disk_member_direct(lam):
-            return Membership.IN
-        for pt in self.undetermined_points:
-            if abs(lam - pt) <= tol:
-                return Membership.UNDETERMINED
+        if any(abs(lam - pt) <= _POINT_TOL for pt in self.undetermined_points):
+            return Membership.UNDETERMINED
         return Membership.OUT
 
     def normalized(self) -> "SpectralDescription":
         """Canonical form: drop listed points already implied by the disk or
         origin flags, sort the rest."""
-        pts = tuple(sorted(p for p in self.points
-                           if not self.disk_member_direct(p)
-                           and not (self.includes_origin and p == 0.0)))
-        und = tuple(sorted(p for p in self.undetermined_points
-                           if not self.disk_member_direct(p)
-                           and all(abs(p - q) > _POINT_TOL for q in pts)))
+        def outside(points: tuple[float, ...]) -> list[float]:
+            inside = _disk_mask(self, np.array(points, dtype=complex))
+            return [p for p, d in zip(points, inside) if not d]
+
+        pts = tuple(sorted(p for p in outside(self.points)
+                           if not (self.includes_origin and p == 0.0)))
+        und = tuple(sorted(p for p in outside(self.undetermined_points)
+                           if all(abs(p - q) > _POINT_TOL for q in pts)))
         return replace(self, points=pts, undetermined_points=und)
 
 
@@ -128,9 +109,8 @@ def _disk_parameter(p: float, alpha: float) -> float:
 
 def _eigen_points(r: float) -> tuple[float, ...]:
     # {1/m : m natural, m < r}, strict even when r sits on an integer
-    top = int(math.floor(r))
-    if abs(r - round(r)) <= _INT_DETECT:
-        top = int(round(r)) - 1
+    m0 = _boundary_integer(r)
+    top = int(math.floor(r)) if m0 is None else m0 - 1
     return tuple(1.0 / m for m in range(1, top + 1))
 
 
@@ -181,26 +161,38 @@ def waelbroeck(spec: SpectralDescription) -> SpectralDescription:
 # vectorized membership and the step-union cross-check
 # ---------------------------------------------------------------------------
 
+def _disk_mask(desc: SpectralDescription, lams: np.ndarray) -> np.ndarray:
+    """The direct disk predicate |lam - 1/(2r)| < 1/(2r), <= when closed."""
+    # hypot rounds |lam - c| as abs(complex) does; np.abs on a complex array
+    # is an ulp off on about a third of the values
+    z = lams - desc.disk_center
+    d = np.hypot(z.real, z.imag)
+    if desc.disk_boundary is DiskBoundary.CLOSED:
+        return d <= desc.disk_radius
+    return d < desc.disk_radius
+
+
 def _member_mask(desc: SpectralDescription, lams: np.ndarray) -> np.ndarray:
     """Two-valued membership over an array (UNDETERMINED points must have
     been excluded beforehand)."""
-    mask = np.zeros(lams.shape, dtype=bool)
+    mask = _disk_mask(desc, lams)
     if desc.includes_origin:
         mask |= np.abs(lams) <= _POINT_TOL
     for pt in desc.points:
         mask |= np.abs(lams - pt) <= _POINT_TOL
-    d = np.abs(lams - desc.disk_center)
-    if desc.disk_boundary is DiskBoundary.CLOSED:
-        mask |= d <= desc.disk_radius
-    else:
-        mask |= d < desc.disk_radius
     return mask
 
 
 def _re_reciprocal(lams: np.ndarray) -> np.ndarray:
+    """Re(1/lam), inf at 0.  Where 1/lam overflows (subnormal lam) it is
+    (Re lam / |lam|) / |lam| instead, without a warning or a NaN."""
     out = np.full(lams.shape, np.inf)
     nz = lams != 0
-    out[nz] = (1.0 / lams[nz]).real
+    with np.errstate(over="ignore", invalid="ignore"):
+        out[nz] = (1.0 / lams[nz]).real
+        bad = nz & ~np.isfinite(out)
+        mod = np.abs(lams[bad])
+        out[bad] = lams[bad].real / mod / mod
     return out
 
 

@@ -26,7 +26,6 @@ from cesaro_bergman.scans import (
     schauder_partial_sum_check,
 )
 from cesaro_bergman.series import (
-    BinomialSign,
     TaylorTruncation,
     binomial_series_coeffs,
     cesaro_apply,
@@ -212,8 +211,7 @@ def test_criterion_10_schauder_basis():
     spec = SpaceSpec(2.0, 1.0, SpaceKind.FRECHET_INTERSECTION)
     targets = {
         "geometric": eigenfunction_truncation(1, 2 * n_max),
-        "binomial": binomial_series_coeffs((1.0 + 1.0 - 0.4) / 2.0,
-                                           BinomialSign.PLUS_Z, 2 * n_max),
+        "binomial": binomial_series_coeffs((1.0 + 1.0 - 0.4) / 2.0, 2 * n_max),
     }
     ok = True
     details = []

@@ -32,7 +32,6 @@ from cesaro_bergman.norms import (
 )
 from cesaro_bergman.scans import seminorm_family
 from cesaro_bergman.series import (
-    BinomialSign,
     TaylorTruncation,
     binomial_series_coeffs,
     eigenfunction_truncation,
@@ -308,6 +307,12 @@ _RULE_COUNTS = [2, 3, 32, 64, 363]
 
 
 class TestRadialRule:
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf, -0.5])
+    def test_build_rejects_bad_alpha(self, alpha):
+        with pytest.raises(ValueError, match="alpha must be finite and >= 0"):
+            DiskQuadrature.build(alpha, 32)
+
     @pytest.mark.parametrize("count", _RULE_COUNTS)
     @pytest.mark.parametrize("alpha", _RULE_ALPHAS)
     def test_matches_roots_jacobi(self, alpha, count):
@@ -551,8 +556,8 @@ class TestQuadrature:
         # (1+z)^-s with s = (alpha+1-eps)/p stays in the space; truncation
         # norms must agree within 1% when the degree doubles
         s = (2.0 + 1.0 - 0.5) / 2.0
-        f1 = binomial_series_coeffs(s, BinomialSign.PLUS_Z, 2000)
-        f2 = binomial_series_coeffs(s, BinomialSign.PLUS_Z, 4000)
+        f1 = binomial_series_coeffs(s, 2000)
+        f2 = binomial_series_coeffs(s, 4000)
         v1 = norm_quadrature(f1, 2.0, 2.0, rel_tol=1e-8)
         v2 = norm_quadrature(f2, 2.0, 2.0, rel_tol=1e-8)
         assert math.isfinite(v1) and math.isfinite(v2)
@@ -570,7 +575,7 @@ class TestQuadrature:
         # |f|^3 (1-|z|)^2 with f = (1+z)^-1.25 is barely integrable: the
         # passes at 254 and 508 radial nodes differ by about 1.7e-10
         s = (2.0 + 1.0 - 0.5) / 2.0
-        f = binomial_series_coeffs(s, BinomialSign.PLUS_Z, 4000)
+        f = binomial_series_coeffs(s, 4000)
         monkeypatch.setattr(norms, "_MAX_RADIAL", 512)
         with pytest.raises(NonConvergedQuadrature) as exc:
             norm_quadrature(f, 3.0, 2.0, rel_tol=1e-10)
@@ -638,7 +643,7 @@ class TestQuadrature:
     def test_nonconvergence_names_the_last_pass(self, monkeypatch):
         # the doubling 254 -> 508 stops below a cap of 700 (1016 > 700 and
         # 700 < 1.5 * 508): the message names 508, not 700
-        f = binomial_series_coeffs(1.25, BinomialSign.PLUS_Z, 4000)
+        f = binomial_series_coeffs(1.25, 4000)
         monkeypatch.setattr(norms, "_MAX_RADIAL", 700)
         with pytest.raises(NonConvergedQuadrature,
                            match=r"at 508 radial nodes"):

@@ -21,7 +21,6 @@ from cesaro_bergman.scans import (
     truncation_norms,
 )
 from cesaro_bergman.series import (
-    BinomialSign,
     TaylorTruncation,
     binomial_series_coeffs,
     eigenfunction_truncation,
@@ -354,7 +353,7 @@ class TestSchauder:
     def test_binomial_source_tails_decrease(self):
         n_max = 1 << 12
         s = (1.0 + 1.0 - 0.4) / 2.0
-        f = binomial_series_coeffs(s, BinomialSign.PLUS_Z, 2 * n_max)
+        f = binomial_series_coeffs(s, 2 * n_max)
         spec = SpaceSpec(2.0, 1.0, SpaceKind.FRECHET_INTERSECTION)
         report = schauder_partial_sum_check(f, spec, n_max=n_max)
         for _, scan in report.tails:

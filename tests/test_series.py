@@ -1,3 +1,4 @@
+import enum
 import math
 
 import numpy as np
@@ -6,16 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cesaro_bergman.series import (
-    BinomialSign,
     TaylorTruncation,
     binomial_series_coeffs,
     cesaro_apply,
     cesaro_inverse_apply,
-    differentiate,
     eigen_residual_exact,
     eigenfunction_truncation,
-    multiply_by_one_minus_z,
-    multiply_by_z,
     recover_from_cesaro,
 )
 
@@ -25,6 +22,21 @@ BIG = 1 << 20
 SAMPLE = np.unique(np.concatenate(
     [np.arange(300), np.geomspace(300, BIG, 800).astype(int), [BIG]]))
 BINOMIAL_REL_TOL = 5e-11
+
+
+class BinomialSign(enum.Enum):
+    """Which series an oracle reads: (1+z)^(-s) as built, or (1-z)^(-s) as
+    its sign flip (-1)^k c_k, which is exact."""
+
+    PLUS_Z = "plus_z"
+    MINUS_Z = "minus_z"
+
+
+def signed_binomial(s, sign, degree):
+    c = binomial_series_coeffs(s, degree).coeffs
+    if sign is BinomialSign.MINUS_Z:
+        c = np.where(np.arange(degree + 1) % 2, -c, c)
+    return c
 
 
 def trunc(seq):
@@ -136,56 +148,59 @@ class TestRecoverFromCesaro:
         oracle = inverse_expansion_oracle(g.coeffs)[:50]
         assert np.allclose(rec.coeffs, oracle, atol=1e-13)
 
-
-class TestBuildingBlocks:
-    def test_differentiate(self):
-        assert np.allclose(differentiate(trunc([0, 0, 1])).coeffs, [0, 2])
-
-    def test_multiply_by_z(self):
-        assert np.allclose(multiply_by_z(trunc([1, 1])).coeffs, [0, 1, 1])
-
-    def test_multiply_by_one_minus_z(self):
-        got = multiply_by_one_minus_z(trunc([1, 1, 1]))
-        assert np.allclose(got.coeffs, [1, 0, 0, -1])
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(_COEFF, min_size=2, max_size=401))
+    def test_is_inverse_without_last_coefficient(self, coeffs):
+        c = np.array(coeffs, dtype=complex)
+        g = cesaro_apply(TaylorTruncation(c))
+        full = cesaro_inverse_apply(g).coeffs
+        rec = recover_from_cesaro(g).coeffs
+        assert rec.tobytes() == full[:-1].tobytes()
+        # the dropped coefficient (N+1) g_N - N g_(N-1) is f_N, as exact as
+        # the others
+        bound = 4.0 * np.finfo(float).eps * len(c) * np.abs(c).max()
+        assert abs(full[-1] - c[-1]) <= bound
 
 
 class TestBinomialSeries:
     def test_geometric(self):
-        got = binomial_series_coeffs(1.0, BinomialSign.MINUS_Z, 3)
-        assert np.allclose(got.coeffs, [1, 1, 1, 1])
+        # (1-z)^-1, the eigenfunction for m = 1
+        got = eigenfunction_truncation(1, 3)
+        assert np.array_equal(got.coeffs, [1, 1, 1, 1])
 
     def test_alternating(self):
-        got = binomial_series_coeffs(1.0, BinomialSign.PLUS_Z, 3)
+        got = binomial_series_coeffs(1.0, 3)
         assert np.allclose(got.coeffs, [1, -1, 1, -1])
 
     def test_square_via_differentiation_oracle(self):
-        # (1-z)^-2 is the derivative of (1-z)^-1; differentiate term by term
-        geo = binomial_series_coeffs(1.0, BinomialSign.MINUS_Z, 5)
-        oracle = differentiate(geo)
-        got = binomial_series_coeffs(2.0, BinomialSign.MINUS_Z, 4)
-        assert np.allclose(got.coeffs, oracle.coeffs)
-        assert np.allclose(got.coeffs, [1, 2, 3, 4, 5])
+        # (1+z)^-2 is minus the derivative of (1+z)^-1, differentiated here
+        # term by term
+        geo = binomial_series_coeffs(1.0, 5).coeffs
+        oracle = -geo[1:] * np.arange(1, 6)
+        got = binomial_series_coeffs(2.0, 4)
+        assert np.allclose(got.coeffs, oracle)
+        assert np.allclose(got.coeffs, [1, -2, 3, -4, 5])
 
     def test_geometric_is_exact_to_2_20(self):
-        c = binomial_series_coeffs(1.0, BinomialSign.MINUS_Z, BIG).coeffs
+        c = eigenfunction_truncation(1, BIG).coeffs
         assert np.all(c == 1.0)
-        alt = binomial_series_coeffs(1.0, BinomialSign.PLUS_Z, BIG).coeffs
+        alt = binomial_series_coeffs(1.0, BIG).coeffs
         assert np.all(alt.real == np.where(np.arange(BIG + 1) % 2, -1.0, 1.0))
         assert np.all(alt.imag == 0.0)
 
     @pytest.mark.parametrize("s", [1, 2, 17, 40])
     def test_integer_exponent_against_comb(self, s):
-        # (1-z)^(-s) has coefficients C(k + s - 1, k)
-        c = binomial_series_coeffs(float(s), BinomialSign.MINUS_Z, BIG).coeffs
-        ref = np.array([float(math.comb(int(k) + s - 1, int(k)))
+        # (1+z)^(-s) has coefficients (-1)^k C(k + s - 1, k)
+        c = binomial_series_coeffs(float(s), BIG).coeffs
+        ref = np.array([(-1.0) ** int(k) * math.comb(int(k) + s - 1, int(k))
                         for k in SAMPLE])
-        assert np.max(np.abs(c[SAMPLE] - ref) / ref) <= BINOMIAL_REL_TOL
+        assert np.max(np.abs(c[SAMPLE] - ref) / np.abs(ref)) <= BINOMIAL_REL_TOL
 
     @pytest.mark.parametrize("s", [0.05, 0.4, 1.3777, 2.5, 3.1])
     @pytest.mark.parametrize("sign", list(BinomialSign))
     def test_fractional_exponent_against_mpmath(self, s, sign):
         mpmath = pytest.importorskip("mpmath")
-        c = binomial_series_coeffs(s, sign, BIG).coeffs
+        c = signed_binomial(s, sign, BIG)
         flip = -1 if sign is BinomialSign.PLUS_Z else 1
         with mpmath.workdps(30):
             ref = np.array([float(flip ** int(k) * mpmath.rf(s, int(k))
@@ -204,19 +219,20 @@ class TestBinomialSeries:
         ref[0] = 1.0
         for k in range(n):
             ref[k + 1] = ref[k] * flip * (s + k) / (k + 1)
-        got = binomial_series_coeffs(s, sign, n).coeffs
+        got = signed_binomial(s, sign, n)
         # both sides round once per factor: 2 n ulps bound their distance
         assert np.max(np.abs(got - ref) / np.abs(ref)) <= 2 * n * 2.3e-16
 
     def test_eigenfunction_matches_binomial(self):
+        # z^3 (1-z)^-4 against the sign flip of (1+z)^-4
         f = eigenfunction_truncation(4, 1000).coeffs
-        tail = binomial_series_coeffs(4.0, BinomialSign.MINUS_Z, 997).coeffs
+        tail = signed_binomial(4.0, BinomialSign.MINUS_Z, 997)
         assert np.all(f[:3] == 0.0) and np.array_equal(f[3:], tail)
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), 0.0, -1.0])
     def test_rejects_bad_exponent(self, bad):
         with pytest.raises(ValueError):
-            binomial_series_coeffs(bad, BinomialSign.MINUS_Z, 3)
+            binomial_series_coeffs(bad, 3)
 
 
 class TestInvariants:
@@ -246,8 +262,7 @@ class TestInvariants:
         a = TaylorTruncation(rng.uniform(-1, 1, 40) + 1j * rng.uniform(-1, 1, 40))
         b = TaylorTruncation(rng.uniform(-1, 1, 40) + 1j * rng.uniform(-1, 1, 40))
         lam = 0.7 - 0.3j
-        for op in (cesaro_apply, cesaro_inverse_apply, differentiate,
-                   multiply_by_z, multiply_by_one_minus_z):
+        for op in (cesaro_apply, cesaro_inverse_apply, recover_from_cesaro):
             lhs = op(TaylorTruncation(a.coeffs + lam * b.coeffs)).coeffs
             rhs = op(a).coeffs + lam * op(b).coeffs
             assert np.max(np.abs(lhs - rhs)) < 1e-13

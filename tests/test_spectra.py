@@ -6,7 +6,13 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from cesaro_bergman.norms import SpaceKind, SpaceSpec
-from cesaro_bergman.spectra import _assembled_mask, _exclusion_mask, _member_mask
+from cesaro_bergman.spectra import (
+    _assembled_mask,
+    _disk_mask,
+    _exclusion_mask,
+    _member_mask,
+    _re_reciprocal,
+)
 from cesaro_bergman.spectra import (
     BoundaryTooClose,
     DiskBoundary,
@@ -71,6 +77,46 @@ def oracle_lb_spectrum(p, alpha):
 
 ORACLE_BUILDERS = {SpaceKind.BANACH: oracle_banach_spectrum,
                    FRECHET: oracle_frechet_spectrum, LB: oracle_lb_spectrum}
+
+
+# ---------------------------------------------------------------------------
+# oracle: the scalar disk predicates and membership the vector ones replaced
+# ---------------------------------------------------------------------------
+
+def oracle_disk_direct(desc, lam):
+    d = abs(lam - desc.disk_center)
+    if desc.disk_boundary is DiskBoundary.CLOSED:
+        return d <= desc.disk_radius
+    return d < desc.disk_radius
+
+
+def oracle_disk_reciprocal(desc, lam):
+    if lam == 0:
+        return desc.disk_boundary is DiskBoundary.CLOSED
+    re = (1.0 / lam).real
+    if desc.disk_boundary is DiskBoundary.CLOSED:
+        return re >= desc.disk_r
+    return re > desc.disk_r
+
+
+def oracle_membership(desc, lam, tol=1e-12):
+    if desc.includes_origin and abs(lam) <= tol:
+        return Membership.IN
+    if any(abs(lam - pt) <= tol for pt in desc.points):
+        return Membership.IN
+    if oracle_disk_direct(desc, lam):
+        return Membership.IN
+    if any(abs(lam - pt) <= tol for pt in desc.undetermined_points):
+        return Membership.UNDETERMINED
+    return Membership.OUT
+
+
+def reciprocal_mask(desc, lams):
+    # Re(1/lam) > r, >= for the closed disk
+    re = _re_reciprocal(lams)
+    if desc.disk_boundary is DiskBoundary.CLOSED:
+        return re >= desc.disk_r
+    return re > desc.disk_r
 
 
 class TestSpectrumOracle:
@@ -212,8 +258,9 @@ class TestFrechetSpectrum:
 
     def test_boundary_point_not_in_open_disk(self):
         desc = spectrum(SpaceSpec(2.0, 2.0, FRECHET))
-        assert not desc.disk_member_direct(0.5)
-        assert not desc.disk_member_reciprocal(0.5)
+        lam = np.array([0.5 + 0j])
+        assert not _disk_mask(desc, lam)[0]
+        assert not reciprocal_mask(desc, lam)[0]
 
     def test_no_sandwich_when_threshold_not_integer(self):
         desc = spectrum(SpaceSpec(2.0, 1.0, FRECHET))  # r = 1.5
@@ -270,18 +317,22 @@ class TestPredicates:
             # skip samples within rounding distance of the circle
             edge = np.abs(np.abs(lam - desc.disk_center) - desc.disk_radius) < 1e-12
             check = lam[~edge]
-            direct = np.array([desc.disk_member_direct(z) for z in check])
-            recip = np.array([desc.disk_member_reciprocal(z) for z in check])
-            assert np.array_equal(direct, recip)
+            assert np.array_equal(_disk_mask(desc, check),
+                                  reciprocal_mask(desc, check))
+            # and each against its scalar form
+            sub = check[:2000]
+            assert np.array_equal(_disk_mask(desc, sub),
+                                  [oracle_disk_direct(desc, z) for z in sub])
+            assert np.array_equal(reciprocal_mask(desc, sub),
+                                  [oracle_disk_reciprocal(desc, z) for z in sub])
 
     def test_monotone_disks(self):
         rng = np.random.default_rng(7)
         lam = rng.uniform(-1, 1, 20_000) + 1j * rng.uniform(-1, 1, 20_000)
         small_r = spectrum(SpaceSpec(2.0, 1.0))   # r = 1.5
         large_r = spectrum(SpaceSpec(2.0, 3.0))   # r = 2.5, smaller disk
-        for z in lam[:2000]:
-            if large_r.disk_member_direct(z):
-                assert small_r.disk_member_direct(z)
+        inner = _disk_mask(large_r, lam)
+        assert inner.any() and np.all(_disk_mask(small_r, lam)[inner])
 
     def test_frechet_set_not_closed(self):
         # members of the open disk converge to a non-member boundary point
@@ -291,6 +342,64 @@ class TestPredicates:
                   for k in range(2, 8)]
         assert all(desc.membership(z) is Membership.IN for z in inside)
         assert desc.membership(boundary) is Membership.OUT
+
+
+_KINDS = st.sampled_from(list(SpaceKind))
+_SPECS = st.one_of(
+    st.builds(SpaceSpec, st.floats(1.05, 4.0), st.floats(0.05, 6.0), _KINDS),
+    # (2 + alpha)/p = m, so 1/m is the Frechet undetermined point
+    st.builds(lambda p, m, kind: SpaceSpec(p, m * p - 2.0, kind),
+              st.floats(1.05, 4.0), st.integers(2, 5), _KINDS),
+)
+
+
+class TestMembershipOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(spec=_SPECS, closure=st.booleans(), data=st.data())
+    def test_matches_scalar_oracle(self, spec, closure, data):
+        desc = spectrum(spec)
+        if closure:
+            desc = waelbroeck(desc)
+        # the origin, 1/r, the points 1/m and a little past them, each also
+        # moved across the 1e-12 tolerance
+        special = [0.0, 1.0 / desc.disk_r] + [
+            1.0 / m for m in range(1, int(desc.disk_r) + 3)]
+        near = st.builds(lambda z, dz: complex(z) + dz, st.sampled_from(special),
+                         st.sampled_from([0, 5e-13, -1e-12, 2e-12, 1e-12j]))
+        lam = data.draw(st.one_of(
+            near, st.builds(complex, st.floats(-2, 2), st.floats(-2, 2))))
+        assert desc.membership(lam) is oracle_membership(desc, lam)
+        assert _disk_mask(desc, np.array([lam]))[0] == oracle_disk_direct(desc, lam)
+
+    def test_points_origin_and_undetermined(self):
+        desc = spectrum(SpaceSpec(2.0, 4.0, FRECHET))  # r = 3
+        for lam in (0.0, 1.0, 0.5, 1.0 / 3.0, 0.2, 0.25 + 0.1j):
+            assert desc.membership(lam) is oracle_membership(desc, lam)
+        assert desc.membership(1.0 / 3.0) is Membership.UNDETERMINED
+
+
+class TestReReciprocal:
+    @pytest.mark.filterwarnings("error")
+    def test_subnormal_lambdas(self):
+        lams = np.array([2e-320j, 1e-320, -1e-320, 1e-320 + 1e-320j, 0j,
+                         0.5 + 0.5j])
+        got = _re_reciprocal(lams)
+        assert got[0] == 0.0
+        assert got[1] == np.inf and got[2] == -np.inf and got[3] == np.inf
+        assert got[4] == np.inf and got[5] == 1.0
+
+    def test_normal_lambdas_unchanged(self):
+        rng = np.random.default_rng(11)
+        lams = (rng.uniform(-2, 2, 1000) + 1j * rng.uniform(-2, 2, 1000)) \
+            * 10.0 ** rng.uniform(-300, 300, 1000)
+        assert _re_reciprocal(lams).tobytes() == (1.0 / lams).real.tobytes()
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("kind", ["frechet", "lb"])
+    def test_subnormal_grid_is_excluded_silently(self, kind):
+        grid = filtered_grid(kind, 2.0, 2.0, 5, re_range=(1e-320, 2e-320),
+                             im_range=(1e-320, 2e-320), nx=3, ny=3)
+        assert grid.size == 0
 
 
 class TestCrosscheck:
