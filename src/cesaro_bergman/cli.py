@@ -9,6 +9,7 @@ exit codes: 0 success, 2 validation, 3 numerical non-convergence,
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import math
 import sys
@@ -53,7 +54,7 @@ from .spectra import (
     waelbroeck,
 )
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 EXIT_OK = 0
 EXIT_SELFTEST = 1
 EXIT_VALIDATION = 2
@@ -317,7 +318,7 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
     if args.lam:
         record["verdicts"] = [
             {"lambda": [z.real, z.imag], "verdict": desc.membership(z).value}
-            for z in map(_parse_complex, args.lam)
+            for z in args.lam
         ]
     _write_record("spectrum", record, args.out)
     return EXIT_OK
@@ -496,6 +497,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_spec.add_argument("-p", type=float, default=2.0)
     p_spec.add_argument("--alpha", type=float, required=True)
     p_spec.add_argument("--lambda", dest="lam", action="append", default=[],
+                        type=_checked(_parse_complex, cmath.isfinite,
+                                      "a finite re or re,im"),
                         help="query value, e.g. '0.5' or '0.5,0.25' (re,im)")
     p_spec.add_argument("--waelbroeck", action="store_true",
                         help="use the Waelbroeck spectrum (closure)")

@@ -89,9 +89,13 @@ def _check_classifier(quick: bool) -> CheckResult:
     const = scans.classify_growth(degs, [3.7] * len(degs))
     if const.kind is not scans.GrowthKind.CONVERGED:
         return CheckResult("classifier", False, "constant misclassified")
-    logs = scans.classify_growth(degs, [math.log(n) for n in degs])
-    if logs.kind is not scans.GrowthKind.LOG_DIVERGENT:
-        return CheckResult("classifier", False, "log growth misclassified")
+    # log N, and at power 3 the threshold law of an eigen scan at p = 3
+    for power in (1.0, 3.0):
+        logs = scans.classify_growth(
+            degs, [math.log(n) ** (1 / power) for n in degs], power)
+        if logs.kind is not scans.GrowthKind.LOG_DIVERGENT:
+            return CheckResult("classifier", False, f"(log N)^(1/{power:g}) "
+                               f"at power {power:g} misclassified")
     for beta in (0.1, 0.25, 0.5, 0.75, 1.0):
         got = scans.classify_growth(degs, [n ** beta for n in degs])
         if got.kind is not scans.GrowthKind.POWER_DIVERGENT:

@@ -531,19 +531,19 @@ def _log_monomial_ratio(j: np.ndarray, p: float, gamma: float,
             - log_beta(j * p + 2.0, mu + 1.0)) / p
 
 
-def _line_fit(x: np.ndarray, y: np.ndarray, flat_r2: float = 0.0):
-    """Least-squares line y ~ intercept + slope x.
+def _line_fit(x: np.ndarray, y: np.ndarray):
+    """Least-squares line y ~ intercept + slope x through 3 or more points.
 
-    Returns (slope, fitted values, residual sum of squares, R^2).  R^2 is
-    flat_r2 when the spread of y is 0 in floating point (the residual is 0
-    too, so R^2 is 0/0).
+    Returns (slope, its standard error, R^2).  R^2 is 1 when y has no spread
+    (the line is exact; R^2 would be 0/0), and is clamped at 0 for a spread
+    of rounding size, where it says nothing.
     """
     slope, intercept = np.polyfit(x, y, 1)
-    fit = intercept + slope * x
-    ss_res = float(np.sum((y - fit) ** 2))
+    ss_res = float(np.sum((y - (intercept + slope * x)) ** 2))
     ss_tot = float(np.sum((y - y.mean()) ** 2))
-    r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else flat_r2
-    return slope, fit, ss_res, r2
+    sxx = float(np.sum((x - x.mean()) ** 2))
+    return (float(slope), math.sqrt(ss_res / (len(x) - 2) / sxx),
+            max(0.0, 1.0 - ss_res / ss_tot) if ss_tot > 0 else 1.0)
 
 
 def inclusion_ratio_scan(p: float, mu: float, gamma: float,
@@ -569,5 +569,5 @@ def inclusion_ratio_scan(p: float, mu: float, gamma: float,
     mask = j >= lo
     # the log ratios have no spread in floating point only at p near 1e200
     # and above, where they are still a line
-    slope, _, _, r2 = _line_fit(np.log(j[mask]), log_ratio[mask], 1.0)
-    return InclusionScan(j.astype(int), ratios, float(slope), r2)
+    slope, _, r2 = _line_fit(np.log(j[mask]), log_ratio[mask])
+    return InclusionScan(j.astype(int), ratios, slope, r2)

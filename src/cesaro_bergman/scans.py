@@ -2,9 +2,10 @@
 
 A statement "f belongs to A^p_alpha" becomes: Bergman norms of the degree-N
 truncations of f stay bounded as N grows; "f does not belong" becomes: they
-diverge.  Scans sample the norms at geometrically spaced degrees and a
-regression classifier labels the growth as Converged, PowerDivergent,
-LogDivergent, or Undetermined.
+diverge.  Scans sample the norms v at geometrically spaced degrees; one line
+fit of the increments of v^p in log N labels the growth Converged,
+PowerDivergent, LogDivergent (v^p ~ log N, as at m = (2+alpha)/p) or
+Undetermined.
 """
 
 from __future__ import annotations
@@ -52,7 +53,8 @@ __all__ = [
 
 DEFAULT_N_MAX = 1 << 14
 _SCAN_START = 16  # first scan degree
-_TOL_CONV, _R2_MIN, _MIN_POWER = 1e-2, 0.99, 0.01  # see classify_growth
+# slopes of log Delta(v^p) within _BAND of 0 read as the threshold's log law
+_BAND = 0.05
 _SCAN_QUAD_TOL = 5e-5  # classification needs ~1% values; leave margin
 
 
@@ -110,15 +112,17 @@ def scan_degrees(n_max: int = DEFAULT_N_MAX) -> list[int]:
     return out
 
 
-def classify_growth(degrees, values) -> GrowthClass:
-    """Label a nonnegative scan sequence.
+def classify_growth(degrees, values, power: float = 1.0) -> GrowthClass:
+    """Label a nonnegative scan sequence by the growth law of values**power.
 
-    Converged: the last two relative increments are below _TOL_CONV, or the
-    sequence decreases (tail scans).  Divergent labels come from comparing a
-    power law log v = a + b log N against v = a + b log N over the last half
-    of the points, and over the last 3 when the half has fewer (a two-point
-    fit would report R^2 = 1); the better model wins if its own R^2 exceeds
-    _R2_MIN, a power law only with b > _MIN_POWER.
+    One line is fitted to log(increment of v^power per unit of log N) against
+    log N at the midpoints, over the last half of the increments (at least
+    3).  For an eigenfunction scan at power = p its slope is pm - 2 - alpha:
+    above _BAND PowerDivergent, below -_BAND Converged, and in between
+    LogDivergent (v^p ~ log N); the exponent is slope / power.  A slope
+    within 3 stderr of a band edge, a value that is not finite, or a window
+    that starts at 0 before the values grow (the law has not set in) is
+    Undetermined; any other increment <= 0 in the window is Converged.
     """
     d = np.asarray(degrees, dtype=float)
     v = np.asarray(values, dtype=float)
@@ -126,39 +130,23 @@ def classify_growth(degrees, values) -> GrowthClass:
         raise ValueError("need matching 1-d arrays with at least 4 scan points")
     if not np.all(np.isfinite(v)):
         return GrowthClass(GrowthKind.UNDETERMINED)
-    scale = float(v.max())
-    if scale <= 0.0:
-        return GrowthClass(GrowthKind.CONVERGED)
-    diffs = np.diff(v)
-    if np.all(diffs <= 1e-12 * scale) and v[-1] < v[0]:
-        return GrowthClass(GrowthKind.CONVERGED)  # decreasing tail scan
-    rel_inc = np.abs(diffs) / np.maximum(v[1:], 1e-300)
-    if rel_inc[-1] < _TOL_CONV and rel_inc[-2] < _TOL_CONV:
-        return GrowthClass(GrowthKind.CONVERGED)
-    start = min(len(v) // 2, len(v) - 3)
-    x = np.log(d[start:])
-    y = v[start:]
-    if np.any(y <= 0.0):
+    start = min((len(v) - 1) // 2, len(v) - 4)
+    if v[start] <= 0.0 < v[-1]:
         return GrowthClass(GrowthKind.UNDETERMINED)
-    bp, fit_p, ss_res_p, r2_p = _line_fit(x, np.log(y))
-    sxx = float(np.sum((x - x.mean()) ** 2))
-    dof = max(len(x) - 2, 1)
-    stderr = math.sqrt(ss_res_p / dof / sxx) if sxx > 0 else math.inf
-    bl, fit_l, _, r2_l = _line_fit(x, y)
-    # compare the two models in value space
-    err_p = float(np.sqrt(np.mean((np.exp(fit_p) - y) ** 2))) / float(y.mean())
-    err_l = float(np.sqrt(np.mean((fit_l - y) ** 2))) / float(y.mean())
-    power = GrowthClass(GrowthKind.POWER_DIVERGENT, float(bp), stderr, r2_p)
-    logc = GrowthClass(GrowthKind.LOG_DIVERGENT, None, None, r2_l)
-    first, second = (power, logc) if err_p <= err_l else (logc, power)
-    for cand in (first, second):
-        if cand.kind is GrowthKind.POWER_DIVERGENT:
-            if r2_p > _R2_MIN and bp > _MIN_POWER:
-                return cand
-        else:
-            if r2_l > _R2_MIN and bl > 0.0:
-                return cand
-    return GrowthClass(GrowthKind.UNDETERMINED, r_squared=max(r2_p, r2_l))
+    if np.any(np.diff(v[start:]) <= 0.0):  # exact zeros, decrease, noise
+        return GrowthClass(GrowthKind.CONVERGED)
+    logd = np.log(d[start:])
+    lv = power * np.log(v[start:])  # in logs: v**power may over/underflow
+    log_inc = lv[1:] + np.log(-np.expm1(lv[:-1] - lv[1:]))
+    slope, stderr, r2 = _line_fit((logd[1:] + logd[:-1]) / 2.0,
+                                  log_inc - np.log(np.diff(logd)))
+    if abs(abs(slope) - _BAND) <= 3.0 * stderr:
+        kind = GrowthKind.UNDETERMINED
+    elif abs(slope) <= _BAND:
+        kind = GrowthKind.LOG_DIVERGENT
+    else:
+        kind = GrowthKind.POWER_DIVERGENT if slope > 0 else GrowthKind.CONVERGED
+    return GrowthClass(kind, slope / power, stderr / power, r2)
 
 
 # ---------------------------------------------------------------------------
@@ -174,14 +162,15 @@ def truncation_norms(coeffs: np.ndarray, p: float, alpha: float, degrees,
     The one place that picks the method: Parseval sums over the weights of
     degree len(coeffs) - 1 at p = 2, adaptive quadrature at rel_tol
     otherwise.  A quadrature that does not converge, or a part with a
-    coefficient that overflowed to inf, gives nan.
+    coefficient that overflowed to inf, gives nan; at p = 2 a square that
+    overflows gives inf (a tail of inf - inf gives nan), without a warning.
     """
     if p == 2.0:
         w = parseval_weights(alpha, len(coeffs) - 1)
-        cum = np.cumsum(np.abs(coeffs) ** 2 * w)
-        if tails:
-            return np.sqrt(np.maximum(cum[-1] - cum[np.asarray(degrees)], 0.0))
-        return np.sqrt(cum[np.asarray(degrees)])
+        with np.errstate(over="ignore", invalid="ignore"):
+            cum = np.cumsum(np.abs(coeffs) ** 2 * w)
+            part = cum[-1] - cum[degrees] if tails else cum[degrees]
+        return np.sqrt(np.maximum(part, 0.0))
     out = np.empty(len(degrees))
     for i, n in enumerate(degrees):
         if tails:
@@ -202,9 +191,9 @@ def truncation_norms(coeffs: np.ndarray, p: float, alpha: float, degrees,
     return out
 
 
-def _norm_scan(degrees: list[int], values) -> NormScan:
+def _norm_scan(degrees: list[int], values, power: float) -> NormScan:
     return NormScan(tuple(degrees), tuple(float(x) for x in values),
-                    classify_growth(degrees, values))
+                    classify_growth(degrees, values, power))
 
 
 @dataclass(frozen=True)
@@ -258,7 +247,7 @@ def eigen_membership_scan(m: int, p: float, alpha: float,
         raise ValueError("m must be a positive integer")
     degrees = scan_degrees(n_max)
     coeffs = eigenfunction_truncation(m, degrees[-1]).coeffs
-    return _norm_scan(degrees, truncation_norms(coeffs, p, alpha, degrees))
+    return _norm_scan(degrees, truncation_norms(coeffs, p, alpha, degrees), p)
 
 
 @dataclass(frozen=True)
@@ -310,10 +299,10 @@ def counterexample_blowup(
     source = binomial_series_coeffs(s, degrees[-1]).coeffs
     inverse = cesaro_inverse_apply(TaylorTruncation(source)).coeffs
     source_scan = _norm_scan(degrees, truncation_norms(
-        source, p, spec.step_alpha(home), degrees))
+        source, p, spec.step_alpha(home), degrees), p)
     inv_scans = tuple(
         (n, _norm_scan(degrees, truncation_norms(
-            inverse, p, spec.step_alpha(n), degrees)))
+            inverse, p, spec.step_alpha(n), degrees), p))
         for n in tested)
     return CounterexampleReport(spec.kind, epsilon, s, home, source_scan,
                                 inv_scans)
@@ -337,7 +326,7 @@ def gp_nuclearity_sum(p: float, alpha: float, m: int,
     sums = np.cumsum(np.exp(_log_monomial_ratio(j, p, alpha + 1.0,
                                                 alpha + 1.0 / m)))
     degrees = scan_degrees(1 << int(math.floor(math.log2(j_max))))
-    return _norm_scan(degrees, sums[np.asarray(degrees) - 1])
+    return _norm_scan(degrees, sums[np.asarray(degrees) - 1], 1.0)
 
 
 @dataclass(frozen=True)
@@ -369,6 +358,7 @@ def schauder_partial_sum_check(
     degrees = scan_degrees(n_max)
     tails = tuple(
         (n, _norm_scan(degrees, truncation_norms(
-            f_full.coeffs, spec.p, spec.step_alpha(n), degrees, tails=True)))
+            f_full.coeffs, spec.p, spec.step_alpha(n), degrees, tails=True),
+            spec.p))
         for n in steps)
     return SchauderReport(spec, f_full.degree, tails)

@@ -137,6 +137,33 @@ def test_criterion_5_threshold_fidelity():
                   + (f"; failures: {failures}" if failures else ""))
 
 
+def test_threshold_boundary_cases_read_log_divergent():
+    # m = (2+alpha)/p: ||f_N||_p^p grows like log N, so the increments of
+    # v^p have slope 0; criterion 5 skips the first three of these
+    cases = ((2.0, 2.0, 2), (1.5, 1.0, 2), (3.0, 1.0, 1), (2.0, 0.0, 1),
+             (2.0, 4.0, 3))
+    kinds = [eigen_membership_scan(m, p, alpha, n_max=1 << 14)
+             .classification.kind for p, alpha, m in cases]
+    assert kinds == [GrowthKind.LOG_DIVERGENT] * len(cases)
+
+
+def test_slow_convergence_below_the_threshold():
+    # m = 2 < 3.2/1.5: the increments of v^1.5 fall like N^(-0.2), slowly
+    # enough to pass for log growth on a fit of v itself
+    for n_max in (1 << 13, 1 << 14):
+        c = eigen_membership_scan(2, 1.5, 1.2, n_max=n_max).classification
+        assert expected_eigen_membership(2, 1.5, 1.2)
+        assert c.kind is GrowthKind.CONVERGED
+        assert abs(c.exponent * 1.5 + 0.2) < 0.01
+
+
+def test_gp_exponents_follow_the_law():
+    worst = max(abs(gp_nuclearity_sum(p, 1.0, m).classification.exponent
+                    - (1.0 - (1.0 - 1.0 / m) / p))
+                for p in (1.5, 2.0, 3.0) for m in range(2, 7))
+    assert worst < 2e-3
+
+
 def test_criterion_6_non_invertibility():
     fre = counterexample_blowup(2.0, 1.0, 0.4, SpaceKind.FRECHET_INTERSECTION,
                                 steps=[3, 4, 5, 6])

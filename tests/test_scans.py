@@ -158,10 +158,79 @@ class TestClassifier:
 
     @pytest.mark.parametrize("beta", [0.1, 0.2, 0.3, 0.5, 0.75, 1.0])
     def test_power_growth(self, beta):
+        # the increments of a pure power are a pure power: no fit error
         got = classify_growth(DEGS, [n ** beta for n in DEGS])
         assert got.kind is GrowthKind.POWER_DIVERGENT
-        assert abs(got.exponent - beta) <= 0.05 * beta
+        assert abs(got.exponent - beta) <= 1e-9
         assert got.r_squared > 0.99
+
+    @pytest.mark.parametrize("power", [1.5, 2.0, 3.0])
+    def test_laws_of_v_to_the_power(self, power):
+        # v^p ~ log N is the threshold, v ~ N^beta reads beta at any power,
+        # and v^p = c - N^(-1) converges
+        logs = classify_growth(DEGS, [math.log(n) ** (1.0 / power)
+                                      for n in DEGS], power)
+        assert logs.kind is GrowthKind.LOG_DIVERGENT
+        assert abs(logs.exponent) <= 1e-9
+        pw = classify_growth(DEGS, [n ** 0.4 for n in DEGS], power)
+        assert pw.kind is GrowthKind.POWER_DIVERGENT
+        assert abs(pw.exponent - 0.4) <= 1e-9
+        conv = classify_growth(DEGS, [(2.0 - 1.0 / n) ** (1.0 / power)
+                                      for n in DEGS], power)
+        assert conv.kind is GrowthKind.CONVERGED
+        assert abs(conv.exponent + 1.0 / power) <= 1e-6
+
+    @pytest.mark.parametrize("scale, beta, power", [
+        (1e200 * DEGS[-1] ** 2.0, 2.0, 3.0), (1.0, 90.0, 3.0),
+        (1.0, 135.0, 2.0)])
+    def test_values_beyond_the_float_range_of_v_to_the_power(self, scale,
+                                                              beta, power):
+        # v^power reaches 1e612 in the first case; in the others it lies
+        # below the smallest double at the window's first degrees ((1/32)^270
+        # = 2^-1350), where a scaled v**power reads the increment 0 and the
+        # scan converged.  The increments are taken in logs
+        got = classify_growth(DEGS, [scale * (n / DEGS[-1]) ** beta
+                                     for n in DEGS], power)
+        assert got.kind is GrowthKind.POWER_DIVERGENT
+        assert abs(got.exponent - beta) <= 1e-9
+
+    def test_slope_near_a_band_edge_is_undetermined(self):
+        # increments of v like N^0.05 (the band edge) with a 1% wobble: the
+        # slope lies within 3 stderr of the edge, and the verdict carries the
+        # fit that decided it
+        v = np.cumsum([n ** 0.05 * (1.0 + 0.01 * (-1) ** k)
+                       for k, n in enumerate(DEGS)])
+        got = classify_growth(DEGS, v)
+        assert got.kind is GrowthKind.UNDETERMINED
+        assert abs(got.exponent - 0.05) <= 3.0 * got.stderr
+        assert got.stderr > 0.0 and got.r_squared is not None
+
+    def test_flat_increment_in_the_window_converges(self):
+        vals = [float(n) for n in DEGS]
+        vals[-1] = vals[-2]
+        assert classify_growth(DEGS, vals).kind is GrowthKind.CONVERGED
+
+    def test_window_before_the_values_start_is_undetermined(self):
+        # z^65 (1-z)^(-66) truncates to 0 up to degree 64: the increment
+        # 32 -> 64 is 0 because the function has not started, not because
+        # it converged
+        scan = eigen_membership_scan(66, 2.0, 1.0, n_max=256)
+        assert scan.values[:3] == (0.0, 0.0, 0.0) and scan.values[3] > 0.0
+        assert scan.classification.kind is GrowthKind.UNDETERMINED
+        # tails that cancel to 0 early have converged
+        tails = [1.0, 1e-9] + [0.0] * (len(DEGS) - 2)
+        assert classify_growth(DEGS, tails).kind is GrowthKind.CONVERGED
+
+    def test_short_last_interval(self):
+        # scan_degrees(10000) ends 8192, 10000: the increments are taken per
+        # unit of log N, so the short last step does not bend the fit
+        degs = scan_degrees(10000)
+        got = classify_growth(degs, [n ** 0.5 for n in degs])
+        assert degs[-2:] == [8192, 10000]
+        assert got.kind is GrowthKind.POWER_DIVERGENT
+        assert abs(got.exponent - 0.5) <= 5e-3
+        logs = classify_growth(degs, [math.log(n) for n in degs])
+        assert logs.kind is GrowthKind.LOG_DIVERGENT
 
     def test_convergent_partial_sums_control(self):
         sums = np.cumsum(np.arange(1, DEGS[-1] + 1, dtype=float) ** -2.0)
@@ -187,17 +256,19 @@ class TestClassifier:
             classify_growth([16, 32, 64], [1.0, 2.0, 3.0])
 
     @pytest.mark.parametrize("n, window", [
-        (4, 3), (5, 3), (6, 3), (7, 4), (8, 4), (9, 5), (10, 5)])
+        (4, 3), (5, 3), (6, 3), (7, 3), (8, 4), (9, 4), (10, 5)])
     def test_fit_window(self, n, window):
-        # the last half of the points, but at least 3: a 4-point scan used
-        # to fit 2 points and report R^2 = 1 with a stderr of 1e-15
+        # the last half of the n - 1 increments, but at least 3: two points
+        # fit any line and report R^2 = 1 with a stderr of 1e-15
         degs = [16 * 2 ** k for k in range(n)]
         vals = [d ** 0.5 * (1.0 + 1.0 / math.log(d)) for d in degs]
         got = classify_growth(degs, vals)
-        slope = np.polyfit(np.log(degs[-window:]), np.log(vals[-window:]),
-                           1)[0]
+        logd = np.log(degs[-window - 1:])
+        inc = np.diff(vals[-window - 1:])
+        slope = np.polyfit((logd[1:] + logd[:-1]) / 2.0,
+                           np.log(inc / np.diff(logd)), 1)[0]
         assert got.kind is GrowthKind.POWER_DIVERGENT
-        assert got.exponent == float(slope)
+        assert abs(got.exponent - slope) <= 1e-12
         assert got.r_squared < 1.0 and got.stderr > 1e-6
 
 
