@@ -36,6 +36,9 @@ __all__ = [
 
 _INT_DETECT = 1e-9  # treat (2+alpha)/p within this of an integer as integral
 _POINT_TOL = 1e-12  # equality tolerance for isolated-point queries
+# largest disk parameter: beyond it the gaps 1/m - 1/(m+1) < 1/m^2 between
+# neighbouring eigenvalues fall below _POINT_TOL
+_R_MAX = 1e6
 
 
 class Membership(enum.Enum):
@@ -104,7 +107,12 @@ class SpectralDescription:
 
 
 def _disk_parameter(p: float, alpha: float) -> float:
-    return (2.0 + alpha) / p
+    r = (2.0 + alpha) / p
+    if r > _R_MAX:
+        raise ValueError(
+            f"disk parameter r = (2+alpha)/p = {r:g} exceeds {_R_MAX:g}: the "
+            "eigenvalues 1/m near 1/r lie closer than the point tolerance")
+    return r
 
 
 def _eigen_points(r: float) -> tuple[float, ...]:
@@ -196,26 +204,29 @@ def _re_reciprocal(lams: np.ndarray) -> np.ndarray:
     return out
 
 
-def _step_alphas(kind: SpaceKind, p: float, alpha: float,
-                 n_max: int) -> list[float]:
-    """Weight exponents of the admissible steps n <= n_max, in order of n."""
+def _step_radii(kind: SpaceKind, p: float, alpha: float,
+                n_max: int) -> np.ndarray:
+    """Disk parameters (2 + step_alpha(n))/p of the admissible steps
+    n <= n_max in order of n, bit for bit as the scalar operations give."""
     if kind not in (SpaceKind.FRECHET_INTERSECTION, SpaceKind.LB_UNION):
         raise ValueError("cross-check applies to limit spaces only")
     spec = SpaceSpec(p, alpha, kind)
-    step_alphas = [spec.step_alpha(n) for n in spec.admissible_steps(n_max)]
-    if not step_alphas:
+    n = np.arange(spec.min_step(), n_max + 1)
+    if n.size == 0:
         raise ValueError("no admissible steps: increase n_max")
-    return step_alphas
+    # alpha - 1/n can round to 0 at the first LB step; step_alpha refuses it
+    spec.step_alpha(int(n[0]))
+    sign = 1.0 if kind is SpaceKind.FRECHET_INTERSECTION else -1.0
+    return (2.0 + (alpha + sign / n)) / p  # alpha + (-1/n) == alpha - 1/n
 
 
-def _exclusion_mask(kind: SpaceKind, p: float, alpha: float, n_max: int,
-                    lams: np.ndarray, band: float) -> np.ndarray:
+def _exclusion_mask(r_limit: float, radii: np.ndarray, lams: np.ndarray,
+                    re: np.ndarray, band: float) -> np.ndarray:
     """Points too close to any boundary circle or isolated point to compare
     reliably, plus the crescent between the limit circle and the tightest
-    step circle (which only an infinite union would resolve)."""
-    r_limit = _disk_parameter(p, alpha)
-    step_alphas = _step_alphas(kind, p, alpha, n_max)
-    circles = np.sort([r_limit] + [_disk_parameter(p, a) for a in step_alphas])
+    step circle (which only an infinite union would resolve); re is
+    _re_reciprocal(lams)."""
+    circles = np.sort(np.append(radii, r_limit))
     # The circle of parameter r has center = radius = c = 1/(2r).  For fixed
     # lam, g(c) = |lam - c| - c has slope (c - Re lam)/|lam - c| - 1 <= 0, so
     # it is non-increasing in c and non-decreasing in r, and it vanishes at
@@ -227,7 +238,6 @@ def _exclusion_mask(kind: SpaceKind, p: float, alpha: float, n_max: int,
     # neighbours absorb the rounding of rho.  Re lam <= 0 gives k = 0, and
     # lam = 0 gives rho = inf (k past the end, clipped); there every circle
     # passes.
-    re = _re_reciprocal(lams)
     k = np.searchsorted(circles, re)
     excl = np.zeros(lams.shape, dtype=bool)
     for offset in (-2, -1, 0, 1):
@@ -238,52 +248,33 @@ def _exclusion_mask(kind: SpaceKind, p: float, alpha: float, n_max: int,
     for m in range(1, int(math.floor(max_r + 1.0 + _INT_DETECT)) + 1):
         excl |= np.abs(lams - 1.0 / m) <= band
     # unresolved crescent between the limit circle and the tightest step
-    r_tight = _disk_parameter(p, step_alphas[-1])
-    lo, hi = sorted((r_limit, r_tight))
+    lo, hi = sorted((r_limit, radii[-1]))
     excl |= (re >= lo - band) & (re <= hi + band)
     return excl
 
 
-def _assembled_mask(kind: SpaceKind, p: float, alpha: float, n_max: int,
-                    lams: np.ndarray) -> np.ndarray:
-    """Membership in the assembly of Banach step spectra, streamed over the
-    steps in O(grid) memory.
+def _assembled_mask(kind: SpaceKind, radii: np.ndarray, lams: np.ndarray,
+                    re: np.ndarray) -> np.ndarray:
+    """Membership in the assembly of the Banach step spectra sigma_n =
+    {0} u {1/m : m < r_n} u {Re(1/lam) >= r_n} (the reciprocal predicate),
+    with radii the r_n in order of n and re = _re_reciprocal(lams).
 
-    A step's closed disk is judged by the reciprocal predicate
-    Re(1/lam) >= r_n.  The origin is masked once, and so is each distinct
-    eigenvalue set {1/m : m < r_n}, which the steps sharing it reuse.
+    The step disks are nested, shrinking as r_n grows, and the eigenvalue
+    sets only grow with r_n.  So the Frechet union is {0}, the eigenvalues
+    of the largest r_n and the disk of the smallest.  The LB limsup, the
+    intersection over m of the tail unions over m <= n <= n_max, is
+    sigma_(n_max): that is the tail from m = n_max, and every other tail
+    contains it.  The cost is 2 + (number of eigenvalues) grid passes.
     """
-    # each step's (r_n, eigenvalues) is built before the grid arrays: built
-    # inside the loop, the peak RSS crept up over repeated cross-checks
-    radii = [_disk_parameter(p, a) for a in _step_alphas(kind, p, alpha, n_max)]
-    steps = [(r, _eigen_points(r)) for r in radii]
-    re = _re_reciprocal(lams)
-    origin = np.abs(lams) <= _POINT_TOL
-    point_masks: dict[tuple[float, ...], np.ndarray] = {}
-
-    def step_mask(step: tuple[float, tuple[float, ...]]) -> np.ndarray:
-        # the Banach step spectrum: origin, eigenvalues and closed disk
-        r, points = step
-        pts = point_masks.get(points)
-        if pts is None:
-            pts = origin.copy()
-            for pt in points:
-                pts |= np.abs(lams - pt) <= _POINT_TOL
-            point_masks[points] = pts
-        return pts | (re >= r)
-
     if kind is SpaceKind.FRECHET_INTERSECTION:
-        assembled = origin.copy()  # {0} joins the union
-        for s in steps:
-            assembled |= step_mask(s)
-        return assembled
-    # LB: intersect over m the tail unions of steps n >= m, walking n down
-    running = step_mask(steps[-1])
-    assembled = running.copy()
-    for s in reversed(steps[:-1]):
-        running |= step_mask(s)
-        assembled &= running
-    return assembled
+        r_points, r_disk = float(radii.max()), float(radii.min())
+    else:
+        r_points = r_disk = float(radii[-1])
+    mask = np.abs(lams) <= _POINT_TOL
+    for pt in _eigen_points(r_points):
+        mask |= np.abs(lams - pt) <= _POINT_TOL
+    mask |= re >= r_disk
+    return mask
 
 
 @dataclass(frozen=True)
@@ -313,26 +304,31 @@ def step_union_crosscheck(
 
     Frechet: membership in {0} union of sigma(steps alpha + 1/n), n <= n_max.
     LB: the nested intersection over m of the tail unions of sigma(steps
-    alpha - 1/n), m <= n <= n_max.  The two sides use independent closed
-    forms and independent predicates: the limit side judges its disk by the
-    distance |lam - center| <= radius, the step assembly by Re(1/lam) >= r.
-    Memory is O(grid): the steps are streamed, never stacked.  Raises
-    :class:`BoundaryTooClose` if the grid enters the exclusion band (see
-    :func:`filtered_grid` to build a safe grid), and ValueError if there is
-    no sample point to check or no admissible step.
+    alpha - 1/n), m <= n <= n_max.  Both have closed forms: the Frechet
+    union is {0}, step 1's eigenvalues and step n_max's disk, the LB set is
+    step n_max's spectrum (see _assembled_mask).  The work is a fixed number
+    of grid passes plus an O(n_max) array of step radii.  The two sides use
+    independent closed forms and independent predicates: the limit side
+    judges its disk by the distance |lam - center| <= radius, the step
+    assembly by Re(1/lam) >= r.  Raises :class:`BoundaryTooClose` if the
+    grid enters the exclusion band (see :func:`filtered_grid` to build a
+    safe grid), and ValueError if there is no sample point to check, no
+    admissible step, or r = (2+alpha)/p is too large (see _R_MAX).
     """
     kind = SpaceKind(kind) if isinstance(kind, str) else kind
     lams = np.asarray(sample_grid, dtype=complex).ravel()
     if lams.size == 0:
         raise ValueError("no sample points to check: every grid point was "
                          "excluded or the grid is empty")
-    bad = _exclusion_mask(kind, p, alpha, n_max, lams, band)
+    radii = _step_radii(kind, p, alpha, n_max)
+    re = _re_reciprocal(lams)
+    bad = _exclusion_mask(_disk_parameter(p, alpha), radii, lams, re, band)
     if np.any(bad):
         offender = lams[bad][0]
         raise BoundaryTooClose(
             f"{int(bad.sum())} grid point(s) inside the exclusion band, "
             f"first offender {offender}")
-    assembled = _assembled_mask(kind, p, alpha, n_max, lams)
+    assembled = _assembled_mask(kind, radii, lams, re)
     limit_mask = _member_mask(spectrum(SpaceSpec(p, alpha, kind)), lams)
     diff = limit_mask != assembled
     return CrosscheckReport(
@@ -357,5 +353,7 @@ def filtered_grid(
     re = np.linspace(re_range[0], re_range[1], nx)
     im = np.linspace(im_range[0], im_range[1], ny)
     lams = (re[:, None] + 1j * im[None, :]).ravel()
-    bad = _exclusion_mask(kind, p, alpha, n_max, lams, band)
+    radii = _step_radii(kind, p, alpha, n_max)
+    bad = _exclusion_mask(_disk_parameter(p, alpha), radii, lams,
+                          _re_reciprocal(lams), band)
     return lams[~bad]

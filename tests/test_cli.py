@@ -283,6 +283,30 @@ class TestSpectrumCommand:
         assert code == 2 and out == ""
         assert "finite" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["--kind", "frechet", "-p", "2", "--alpha", "1e300", "--crosscheck",
+         "--grid", "10x10", "--nmax", "5"],
+        ["--kind", "lb", "-p", "2", "--alpha", "1e300", "--crosscheck"],
+        ["--kind", "banach", "-p", "2", "--alpha", "2e6"],
+    ])
+    def test_unresolvable_disk_parameter_exits_2_at_once(self, capsys, argv):
+        # r = (2+alpha)/p above 1e6: the points 1/m can no longer be told
+        # apart, and looping over them would not end
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "spectrum", *argv)
+        assert time.perf_counter() - start < 5.0
+        assert code == 2 and out == ""
+        assert "disk parameter" in err
+
+    @pytest.mark.parametrize("extra", [[], ["--crosscheck", "--grid", "10x10",
+                                            "--nmax", "5"]])
+    def test_large_resolvable_disk_parameter(self, capsys, extra):
+        code, out, _ = run_cli(capsys, "spectrum", "--kind", "frechet",
+                               "-p", "2", "--alpha", "1000", *extra)  # r = 501
+        assert code == 0
+        if not extra:
+            assert len(json.loads(out)["set"]["points"]) == 500
+
     def test_waelbroeck_flag_closes_boundary(self, capsys):
         code, out, _ = run_cli(capsys, "spectrum", "--kind", "frechet",
                                "-p", "2", "--alpha", "2", "--waelbroeck",
@@ -499,6 +523,18 @@ class TestExitCodes:
                                "--grid", "5x5", "--nmax", "10")
         assert code == 4
         assert json.loads(out)["disagreements"] == [[0.1, 0.1]]
+
+    def test_wrong_limit_spectrum_exits_4(self, capsys, monkeypatch):
+        # the real cross-check, its limit side built at alpha + 0.05
+        from cesaro_bergman import spectra
+        real = spectra.spectrum
+        monkeypatch.setattr(spectra, "spectrum", lambda spec: real(
+            norms.SpaceSpec(spec.p, spec.alpha + 0.05, spec.kind)))
+        code, out, _ = run_cli(capsys, "spectrum", "--kind", "frechet",
+                               "-p", "2", "--alpha", "2", "--crosscheck",
+                               "--grid", "40x40", "--rect=0.45,0.52,-0.05,0.05")
+        assert code == 4
+        assert len(json.loads(out)["disagreements"]) > 10
 
     def test_quadrature_nonconvergence_exits_3(self, capsys, monkeypatch,
                                                tmp_path):

@@ -5,13 +5,16 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from cesaro_bergman import spectra
 from cesaro_bergman.norms import SpaceKind, SpaceSpec
 from cesaro_bergman.spectra import (
+    _INT_DETECT,
     _assembled_mask,
     _disk_mask,
     _exclusion_mask,
     _member_mask,
     _re_reciprocal,
+    _step_radii,
 )
 from cesaro_bergman.spectra import (
     BoundaryTooClose,
@@ -181,7 +184,8 @@ def oracle_exclusion_mask(kind, p, alpha, n_max, lams, band):
         excl |= np.abs(lams - 1.0 / m) <= band
     re = np.full(lams.shape, np.inf)
     nz = lams != 0
-    re[nz] = (1.0 / lams[nz]).real
+    with np.errstate(over="ignore", invalid="ignore"):  # subnormal lams
+        re[nz] = (1.0 / lams[nz]).real
     lo, hi = sorted((r_limit, (2.0 + step_alphas[-1]) / p))
     excl |= (re >= lo - band) & (re <= hi + band)
     return excl
@@ -215,11 +219,14 @@ def assert_matches_oracle(kind, p, alpha, n_max, lams, band=1e-9):
     near_eigen = np.array([1.0 / m + 5e-13 for m in range(1, int(max(rs)) + 3)],
                           dtype=complex)
     lams = np.concatenate([lams, on_circles])
-    excl = _exclusion_mask(kind, p, alpha, n_max, lams, band)
+    radii = _step_radii(kind, p, alpha, n_max)
+    excl = _exclusion_mask((2.0 + alpha) / p, radii, lams,
+                           _re_reciprocal(lams), band)
     assert np.array_equal(excl, oracle_exclusion_mask(kind, p, alpha, n_max,
                                                       lams, band))
     probe = np.concatenate([lams[~excl], near_eigen])
-    assert np.array_equal(_assembled_mask(kind, p, alpha, n_max, probe),
+    assert np.array_equal(_assembled_mask(kind, radii, probe,
+                                          _re_reciprocal(probe)),
                           oracle_assembled_mask(kind, p, alpha, n_max, probe))
 
 
@@ -424,10 +431,46 @@ class TestCrosscheck:
         report = step_union_crosscheck("lb", 1.5, 0.7, 30, grid)
         assert report.ok
 
+    @pytest.mark.parametrize("kind", ["frechet", "lb"])
+    def test_wrong_limit_spectrum_is_caught(self, kind, monkeypatch):
+        # a limit side built at alpha + 0.05 must disagree with the steps
+        real = spectra.spectrum
+        monkeypatch.setattr(spectra, "spectrum", lambda spec: real(
+            SpaceSpec(spec.p, spec.alpha + 0.05, spec.kind)))
+        # near 1/r = 0.5, where the two disks' right ends lie 0.006 apart
+        grid = filtered_grid(kind, 2.0, 2.0, 100, re_range=(0.45, 0.52),
+                             im_range=(-0.05, 0.05), nx=40, ny=40)
+        report = step_union_crosscheck(kind, 2.0, 2.0, 100, grid)
+        assert not report.ok and len(report.disagreements) > 10
+
+
+class TestUnresolvableDiskParameter:
+    """Above r = 1e6 the eigenvalues 1/m lie closer than _POINT_TOL."""
+
+    @pytest.mark.parametrize("kind", list(SpaceKind))
+    def test_huge_alpha_refused(self, kind):
+        with pytest.raises(ValueError, match="disk parameter"):
+            spectrum(SpaceSpec(2.0, 2e6, kind))
+        with pytest.raises(ValueError, match="disk parameter"):
+            spectrum(SpaceSpec(2.0, 1e300, kind))
+
+    @pytest.mark.parametrize("kind", ["frechet", "lb"])
+    def test_crosscheck_refuses_before_any_point_loop(self, kind):
+        with pytest.raises(ValueError, match="disk parameter"):
+            filtered_grid(kind, 2.0, 1e300, 5, nx=10, ny=10)
+        with pytest.raises(ValueError, match="disk parameter"):
+            step_union_crosscheck(kind, 2.0, 1e300, 5, np.array([5.0 + 0j]))
+
+    def test_large_resolvable_disk_parameter(self):
+        desc = spectrum(SpaceSpec(2.0, 1000.0))  # r = 501
+        assert len(desc.points) == 500
+        grid = filtered_grid("frechet", 2.0, 1000.0, 5, nx=10, ny=10)
+        assert step_union_crosscheck("frechet", 2.0, 1000.0, 5, grid).ok
+
 
 class TestStreamedAssemblyOracle:
-    """The windowed exclusion mask and the streamed step assembly agree bit
-    for bit with the brute-force oracle above."""
+    """The windowed exclusion mask and the closed-form step assembly agree
+    bit for bit with the brute-force oracle above."""
 
     # 0, the real axis, the eigenvalues and the circles' far ends
     SPECIAL = np.array([0.0, 1.0, 0.5, 1.0 / 3.0, 0.25, 0.2, -1.0, 2.0,
@@ -441,6 +484,15 @@ class TestStreamedAssemblyOracle:
         ("lb", 1.5, 0.7, 40),         # alpha < 1: steps start at n = 2
         ("lb", 3.0, 0.3, 80),         # alpha < 1: steps start at n = 4
         ("frechet", 3.0, 1.6, 300),
+        # r_n falls from 2.45 to 1.955 and crosses 2 at n = 10, where the
+        # eigenvalue 1/2 leaves the steps
+        ("frechet", 2.0, 1.9, 100),
+        # r_10 = 2 + 5e-11: step 10 drops 1/2, and only steps 1 to 9 put
+        # 1/2 + 5e-13 (just outside every disk) in the union
+        ("frechet", 2.0, 1.9000000001, 10),
+        # r_10 = 2 + 5e-11 lies within _INT_DETECT of 2: step 10 has
+        # eigenvalue 1 alone, the limit (r = 2.05) also 1/2
+        ("lb", 2.0, 2.1000000001, 10),
     ])
     def test_pinned_cases(self, kind, p, alpha, n_max):
         # 21x21 on the symmetric square holds 0 and 21 real-axis points
@@ -449,6 +501,35 @@ class TestStreamedAssemblyOracle:
                                self.SPECIAL.astype(complex)])
         assert 0 in lams and np.count_nonzero(lams.imag == 0) > 40
         assert_matches_oracle(kind, p, alpha, n_max, lams)
+
+    def test_lb_last_step_radius_near_integer(self):
+        r_last = _step_radii(LB, 2.0, 2.1000000001, 10)[-1]
+        assert 0 < abs(r_last - 2.0) <= _INT_DETECT
+
+    @pytest.mark.parametrize("kind,p,alpha,n_max", [
+        ("frechet", 3.0, 1.9, 1500),  # the benchmark's step counts and r
+        ("lb", 3.0, 3.25, 1000),
+    ])
+    def test_benchmark_step_counts(self, kind, p, alpha, n_max):
+        assert_matches_oracle(kind, p, alpha, n_max,
+                              _lattice((-1.0, 2.0, -1.0, 1.0), 100, 100))
+
+    @pytest.mark.parametrize("kind", [FRECHET, LB])
+    @pytest.mark.parametrize("p,alpha,n_max", [
+        (2.0, 2.0, 300), (1.5, 0.7, 40), (3.0, 0.3, 80), (1.25, 5.0, 1000),
+        # alpha - 1/n is 0 at n = 93, the first LB step min_step() admits
+        (2.0, 1.0 / 93.0, 100)])
+    def test_step_radii_match_scalar_steps(self, kind, p, alpha, n_max):
+        spec = SpaceSpec(p, alpha, kind)
+        try:
+            want = [(2.0 + spec.step_alpha(n)) / p
+                    for n in spec.admissible_steps(n_max)]
+        except ValueError:
+            with pytest.raises(ValueError, match="inadmissible"):
+                _step_radii(kind, p, alpha, n_max)
+            return
+        assert _step_radii(kind, p, alpha, n_max).tobytes() == \
+            np.array(want).tobytes()
 
     @settings(max_examples=150, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
@@ -465,7 +546,7 @@ class TestStreamedAssemblyOracle:
         lams = _lattice((re0, re0 + re_span, im0, im0 + im_span), nx, ny)
         if kind == "lb" and int(math.floor(1.0 / alpha)) + 1 > n_max:
             with pytest.raises(ValueError, match="no admissible steps"):
-                _exclusion_mask(SpaceKind(kind), p, alpha, n_max, lams, band)
+                _step_radii(SpaceKind(kind), p, alpha, n_max)
             return
         assert_matches_oracle(kind, p, alpha, n_max, lams, band)
 
