@@ -54,7 +54,7 @@ from .spectra import (
     waelbroeck,
 )
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 EXIT_OK = 0
 EXIT_SELFTEST = 1
 EXIT_VALIDATION = 2
@@ -272,7 +272,6 @@ def _describe_record(desc) -> dict:
         "disk_boundary": desc.disk_boundary.value,
         "includes_origin": desc.includes_origin,
         "points": list(desc.points),
-        "undetermined_points": list(desc.undetermined_points),
     }
 
 

@@ -498,9 +498,11 @@ class SpaceSpec:
         return self.alpha
 
     def min_step(self) -> int:
-        """Smallest admissible step index (1 except for LB_UNION)."""
+        """Smallest admissible step index: 1, or the first n with alpha - 1/n
+        > 0 in floats for LB_UNION."""
         if self.kind is SpaceKind.LB_UNION:
-            return int(math.floor(1.0 / self.alpha)) + 1
+            n = int(math.floor(1.0 / self.alpha)) + 1
+            return n if self.alpha - 1.0 / n > 0.0 else n + 1
         return 1
 
     def admissible_steps(self, n_max: int) -> list[int]:

@@ -31,6 +31,7 @@ from .series import (
     cesaro_inverse_apply,
     eigenfunction_truncation,
 )
+from .spectra import _last_eigen_index
 
 __all__ = [
     "GrowthKind",
@@ -235,8 +236,8 @@ def seminorm_family(
 # ---------------------------------------------------------------------------
 
 def expected_eigen_membership(m: int, p: float, alpha: float) -> bool:
-    """Eigenvalue threshold: 1/m is an eigenvalue iff m < (2 + alpha)/p."""
-    return m < (2.0 + alpha) / p
+    """Eigenvalue threshold m < (2 + alpha)/p, as the Banach spectrum has it."""
+    return m <= _last_eigen_index((2.0 + alpha) / p)
 
 
 def eigen_membership_scan(m: int, p: float, alpha: float,

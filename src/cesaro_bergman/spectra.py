@@ -5,11 +5,12 @@ spectrum combines the disk
 
     D_r = { lam : |lam - 1/(2r)| < 1/(2r) } = { lam != 0 : Re(1/lam) > r }
 
-with the eigenvalues 1/m for integers m below r (which lie strictly outside
-the closed disk).  The Banach and (LB) settings carry the closed disk; the
-Frechet intersection carries the open disk plus the origin, and when r is an
-integer the membership of 1/r in the point spectrum is not decided, so
-queries there answer UNDETERMINED.
+with the origin and eigenvalues 1/m.  The Banach and (LB) settings carry the
+closed disk and the 1/m with m < r, strictly outside it.  The Frechet
+intersection carries the open disk and the 1/m with m <= r: the eigenfunction
+z^(m-1)(1-z)^(-m) lies in A^p_beta exactly when m p < 2 + beta, so at an
+integer r it lies in every step A^p_(alpha+1/n), and 1/r is an eigenvalue on
+the boundary circle.  Membership is two-valued.
 """
 
 from __future__ import annotations
@@ -44,7 +45,6 @@ _R_MAX = 1e6
 class Membership(enum.Enum):
     IN = "in"
     OUT = "out"
-    UNDETERMINED = "undetermined"
 
 
 class DiskBoundary(enum.Enum):
@@ -60,18 +60,12 @@ class BoundaryTooClose(ValueError):
 @dataclass(frozen=True)
 class SpectralDescription:
     """Symbolic spectral set: isolated points {1/m}, a disk D_r with a
-    boundary flag, and an origin flag.
-
-    undetermined_points lists values whose membership the closed forms leave
-    open (the Frechet point-spectrum boundary case); membership queries on
-    them answer UNDETERMINED.
-    """
+    boundary flag, and an origin flag."""
 
     points: tuple[float, ...]
     disk_r: float
     disk_boundary: DiskBoundary
     includes_origin: bool
-    undetermined_points: tuple[float, ...] = ()
 
     def __post_init__(self) -> None:
         if not (self.disk_r > 0.0):
@@ -88,22 +82,7 @@ class SpectralDescription:
     def membership(self, lam: complex) -> Membership:
         if _member_mask(self, np.array([lam], dtype=complex))[0]:
             return Membership.IN
-        if any(abs(lam - pt) <= _POINT_TOL for pt in self.undetermined_points):
-            return Membership.UNDETERMINED
         return Membership.OUT
-
-    def normalized(self) -> "SpectralDescription":
-        """Canonical form: drop listed points already implied by the disk or
-        origin flags, sort the rest."""
-        def outside(points: tuple[float, ...]) -> list[float]:
-            inside = _disk_mask(self, np.array(points, dtype=complex))
-            return [p for p, d in zip(points, inside) if not d]
-
-        pts = tuple(sorted(p for p in outside(self.points)
-                           if not (self.includes_origin and p == 0.0)))
-        und = tuple(sorted(p for p in outside(self.undetermined_points)
-                           if all(abs(p - q) > _POINT_TOL for q in pts)))
-        return replace(self, points=pts, undetermined_points=und)
 
 
 def _disk_parameter(p: float, alpha: float) -> float:
@@ -115,54 +94,45 @@ def _disk_parameter(p: float, alpha: float) -> float:
     return r
 
 
-def _eigen_points(r: float) -> tuple[float, ...]:
-    # {1/m : m natural, m < r}, strict even when r sits on an integer
-    m0 = _boundary_integer(r)
-    top = int(math.floor(r)) if m0 is None else m0 - 1
-    return tuple(1.0 / m for m in range(1, top + 1))
+def _last_eigen_index(r: float, frechet: bool = False) -> int:
+    """Largest m with 1/m an eigenvalue: m <= r on the Frechet space, m < r
+    otherwise, with r within _INT_DETECT of an integer taken as it."""
+    if frechet:
+        return int(math.floor(r + _INT_DETECT))
+    return int(math.ceil(r - _INT_DETECT)) - 1
 
 
-def _boundary_integer(r: float) -> int | None:
-    m0 = int(round(r))
-    if m0 >= 1 and abs(r - m0) <= _INT_DETECT:
-        return m0
-    return None
+def _eigen_points(r: float, frechet: bool = False) -> tuple[float, ...]:
+    return tuple(1.0 / m for m in range(1, _last_eigen_index(r, frechet) + 1))
 
 
 def spectrum(spec: SpaceSpec) -> SpectralDescription:
     """Spectrum of C on the space spec describes, with r = (2+alpha)/p.
 
-    Every setting has the origin and the eigenvalues 1/m for m < r.  The
-    Banach space A^p_alpha and the union space (steps alpha - 1/n) carry the
-    closed disk D_r.  The intersection space (steps alpha + 1/n) carries the
-    open disk; when r is an integer the value 1/r may or may not be an
-    eigenvalue of the limit space, and it is reported as UNDETERMINED.  The
+    Every setting has the origin.  The Banach space A^p_alpha and the union
+    space (steps alpha - 1/n) carry the closed disk D_r and the eigenvalues
+    1/m for m < r.  The intersection space (steps alpha + 1/n) carries the
+    open disk and the 1/m for m <= r, 1/r included at an integer r.  The
     limit spaces need p > 1.
     """
     if spec.kind is not SpaceKind.BANACH and not spec.p > 1.0:
         raise ValueError(f"limit spaces need p > 1, got p={spec.p}")
     r = _disk_parameter(spec.p, spec.alpha)
-    m0 = _boundary_integer(r)
     frechet = spec.kind is SpaceKind.FRECHET_INTERSECTION
     return SpectralDescription(
-        points=_eigen_points(r),
+        points=_eigen_points(r, frechet),
         disk_r=r,
         disk_boundary=DiskBoundary.OPEN if frechet else DiskBoundary.CLOSED,
         includes_origin=True,
-        undetermined_points=(1.0 / m0,) if frechet and m0 is not None else (),
     )
 
 
 def waelbroeck(spec: SpectralDescription) -> SpectralDescription:
-    """Waelbroeck spectrum as a set: the topological closure.
-
-    Closing the disk absorbs any boundary-undetermined point (it lies on the
-    boundary circle by construction), so the result is two-valued.  Already
-    closed descriptions are returned unchanged, and the map is idempotent.
-    """
-    closed = replace(spec, disk_boundary=DiskBoundary.CLOSED,
-                     undetermined_points=())
-    return closed.normalized()
+    """Waelbroeck spectrum of a spectrum of C as a set: its closure, the
+    closed disk and the 1/m with m < r.  That is the Banach spectrum at the
+    same (p, alpha) in every setting, and the map is idempotent."""
+    return replace(spec, disk_boundary=DiskBoundary.CLOSED,
+                   points=_eigen_points(spec.disk_r))
 
 
 # ---------------------------------------------------------------------------
@@ -181,8 +151,7 @@ def _disk_mask(desc: SpectralDescription, lams: np.ndarray) -> np.ndarray:
 
 
 def _member_mask(desc: SpectralDescription, lams: np.ndarray) -> np.ndarray:
-    """Two-valued membership over an array (UNDETERMINED points must have
-    been excluded beforehand)."""
+    """Membership over an array."""
     mask = _disk_mask(desc, lams)
     if desc.includes_origin:
         mask |= np.abs(lams) <= _POINT_TOL
@@ -214,8 +183,6 @@ def _step_radii(kind: SpaceKind, p: float, alpha: float,
     n = np.arange(spec.min_step(), n_max + 1)
     if n.size == 0:
         raise ValueError("no admissible steps: increase n_max")
-    # alpha - 1/n can round to 0 at the first LB step; step_alpha refuses it
-    spec.step_alpha(int(n[0]))
     sign = 1.0 if kind is SpaceKind.FRECHET_INTERSECTION else -1.0
     return (2.0 + (alpha + sign / n)) / p  # alpha + (-1/n) == alpha - 1/n
 

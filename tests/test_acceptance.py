@@ -35,8 +35,6 @@ from cesaro_bergman.series import (
     recover_from_cesaro,
 )
 from cesaro_bergman.spectra import (
-    DiskBoundary,
-    SpectralDescription,
     filtered_grid,
     spectrum,
     step_union_crosscheck,
@@ -147,6 +145,21 @@ def test_threshold_boundary_cases_read_log_divergent():
     assert kinds == [GrowthKind.LOG_DIVERGENT] * len(cases)
 
 
+def test_boundary_eigenfunction_lies_in_every_step():
+    # m = (2+alpha)/p: f_m lies in A^p_beta for every beta > alpha, so in
+    # each Frechet step alpha + 1/n, where the increments of v^p fall like
+    # N^(-1/n); hence 1/m is an eigenvalue of the intersection space
+    for m, p, alpha, n_max in ((2, 2.0, 2.0, 1 << 20), (3, 2.0, 4.0, 1 << 20),
+                               (2, 1.5, 1.0, 1 << 13)):
+        for n in (1, 2, 3):
+            c = eigen_membership_scan(m, p, alpha + 1.0 / n,
+                                      n_max=n_max).classification
+            assert c.kind is GrowthKind.CONVERGED, (m, p, alpha, n, c)
+            assert abs(c.exponent + 1.0 / (n * p)) < 7e-3, (m, p, alpha, n, c)
+        desc = spectrum(SpaceSpec(p, alpha, SpaceKind.FRECHET_INTERSECTION))
+        assert desc.points[-1] == 1.0 / m
+
+
 def test_slow_convergence_below_the_threshold():
     # m = 2 < 3.2/1.5: the increments of v^1.5 fall like N^(-0.2), slowly
     # enough to pass for log growth on a fit of v itself
@@ -218,15 +231,9 @@ def test_criterion_9_spectral_crosscheck():
     for p, alpha in [(2.0, 2.0), (2.0, 1.0), (1.5, 0.7)]:
         fre = spectrum(SpaceSpec(p, alpha,
                                   SpaceKind.FRECHET_INTERSECTION))
-        direct_closure = SpectralDescription(
-            points=fre.points + fre.undetermined_points,
-            disk_r=fre.disk_r,
-            disk_boundary=DiskBoundary.CLOSED,
-            includes_origin=True,
-        ).normalized()
-        waelbroeck_ok &= waelbroeck(fre) == direct_closure
         lbd = spectrum(SpaceSpec(p, alpha, SpaceKind.LB_UNION))
-        waelbroeck_ok &= waelbroeck(lbd) == lbd.normalized()
+        banach = spectrum(SpaceSpec(p, alpha))
+        waelbroeck_ok &= waelbroeck(fre) == banach == waelbroeck(lbd)
     ok = grids_ok and waelbroeck_ok
     assert report(9, "spectral step-union cross-check", ok,
                   f"checked/disagreements per kind: {results}; Waelbroeck "

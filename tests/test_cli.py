@@ -21,7 +21,7 @@ class TestNormCommand:
                                "-p", "2", "--alpha", "0")
         assert code == 0
         record = json.loads(out)
-        assert record["schema"] == 2
+        assert record["schema"] == 3
         assert abs(record["value"] - 1.0) < 1e-14
 
     def test_monomial_asymptotic_flag(self, capsys):
@@ -165,11 +165,15 @@ class TestNormCommand:
 
 class TestSpectrumCommand:
     def test_frechet_sandwich_verdict(self, capsys):
+        # r = 2: the eigenvalue 1/2 on the open disk's boundary is listed
         code, out, _ = run_cli(capsys, "spectrum", "--kind", "frechet",
                                "-p", "2", "--alpha", "2", "--lambda", "0.5")
         assert code == 0
         record = json.loads(out)
-        assert record["verdicts"][0]["verdict"] == "undetermined"
+        assert record["schema"] == 3
+        assert record["set"]["points"] == [1.0, 0.5]
+        assert "undetermined_points" not in record["set"]
+        assert record["verdicts"][0]["verdict"] == "in"
 
     def test_lb_boundary_in(self, capsys):
         code, out, _ = run_cli(capsys, "spectrum", "--kind", "lb",
@@ -220,6 +224,14 @@ class TestSpectrumCommand:
         record = json.loads(out)
         assert record["disagreements"] == []
         assert record["n_checked"] + record["n_excluded"] == 900
+
+    def test_lb_crosscheck_at_reciprocal_alpha(self, capsys):
+        # alpha = 1/93: alpha - 1/93 rounds to 0, so the steps start at 94
+        code, out, _ = run_cli(capsys, "spectrum", "--kind", "lb", "-p", "2",
+                               "--alpha", repr(1.0 / 93.0), "--crosscheck",
+                               "--grid", "10x10", "--nmax", "100")
+        assert code == 0
+        assert json.loads(out)["disagreements"] == []
 
     def test_crosscheck_needs_limit_kind(self, capsys):
         code, _, err = run_cli(capsys, "spectrum", "--kind", "banach",
@@ -304,8 +316,8 @@ class TestSpectrumCommand:
         code, out, _ = run_cli(capsys, "spectrum", "--kind", "frechet",
                                "-p", "2", "--alpha", "1000", *extra)  # r = 501
         assert code == 0
-        if not extra:
-            assert len(json.loads(out)["set"]["points"]) == 500
+        if not extra:  # m <= r on the Frechet space: 1/501 is listed
+            assert len(json.loads(out)["set"]["points"]) == 501
 
     def test_waelbroeck_flag_closes_boundary(self, capsys):
         code, out, _ = run_cli(capsys, "spectrum", "--kind", "frechet",

@@ -892,6 +892,19 @@ class TestSpaceSpec:
         with pytest.raises(ValueError):
             spec.step_alpha(3)
 
+    def test_lb_first_step_admissible_at_reciprocal_alphas(self):
+        # at alpha = 1/k, 1/alpha can round below k, and floor(1/alpha) + 1
+        # names step k, where alpha - 1/k is 0 (153 of the k below 3000,
+        # k = 93 the first); min_step names step k + 1 for every k
+        rounded_below = 0
+        for k in range(1, 3000):
+            alpha = 1.0 / k
+            spec = SpaceSpec(2.0, alpha, SpaceKind.LB_UNION)
+            assert spec.min_step() == k + 1
+            assert spec.step_alpha(k + 1) > 0.0
+            rounded_below += int(math.floor(1.0 / alpha)) + 1 == k
+        assert rounded_below == 153
+
     def test_limit_space_needs_positive_alpha(self):
         with pytest.raises(ValueError):
             SpaceSpec(2.0, 0.0, SpaceKind.LB_UNION)
@@ -922,6 +935,13 @@ class TestSeminormFamily:
     def test_banach_rejected(self):
         with pytest.raises(ValueError):
             seminorm_family(trunc([1.0]), SpaceSpec(2.0, 1.0), 3)
+
+    def test_lb_family_starts_at_first_admissible_step(self):
+        # alpha - 1/93 rounds to 0 at alpha = 1/93: the steps start at 94
+        spec = SpaceSpec(2.0, 1.0 / 93.0, SpaceKind.LB_UNION)
+        fam = seminorm_family(trunc([1.0]), spec, 96)
+        assert [e.n for e in fam] == [94, 95, 96]
+        assert all(e.ok and e.alpha > 0.0 for e in fam)
 
     @pytest.mark.parametrize("rel_tol", [math.nan, 0.0, math.inf, 1.0])
     def test_bad_rel_tol_rejected_at_p2(self, rel_tol):

@@ -25,6 +25,7 @@ from cesaro_bergman.series import (
     binomial_series_coeffs,
     eigenfunction_truncation,
 )
+from cesaro_bergman.spectra import spectrum
 
 
 DEGS = scan_degrees(1 << 14)
@@ -277,6 +278,18 @@ class TestEigenScan:
         scan = eigen_membership_scan(1, 2.0, 2.0)
         assert expected_eigen_membership(1, 2.0, 2.0)
         assert scan.classification.kind is GrowthKind.CONVERGED
+
+    def test_threshold_matches_banach_points(self):
+        # one rule for both: r = (2+alpha)/p within 1e-9 of an integer counts
+        # as that integer, so 3 is not below (2 + 2.2)/1.4 = 3 + 4e-16
+        assert not expected_eigen_membership(3, 1.4, 2.2)
+        for p in [k / 10 for k in range(10, 40)]:
+            for alpha in [k / 10 for k in range(1, 80)]:
+                points = spectrum(SpaceSpec(p, alpha)).points
+                r = (2.0 + alpha) / p
+                for m in range(1, int(r) + 3):
+                    assert expected_eigen_membership(m, p, alpha) == \
+                        (1.0 / m in points), (m, p, alpha)
 
     def test_nonmember_diverges(self):
         scan = eigen_membership_scan(3, 2.0, 2.0)

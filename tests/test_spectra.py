@@ -59,14 +59,15 @@ def oracle_banach_spectrum(p, alpha):
 
 
 def oracle_frechet_spectrum(p, alpha):
+    # at an integer r, 1/r is an eigenvalue: z^(r-1)(1-z)^(-r) lies in
+    # A^p_beta for every beta > alpha, so in every step alpha + 1/n
     if p <= 1.0 or alpha <= 0.0:
         raise ValueError("need p > 1 and alpha > 0")
     r = (2.0 + alpha) / p
     m0 = _oracle_boundary_integer(r)
     return SpectralDescription(
-        points=_oracle_eigen_points(r), disk_r=r,
-        disk_boundary=DiskBoundary.OPEN, includes_origin=True,
-        undetermined_points=(1.0 / m0,) if m0 is not None else ())
+        points=_oracle_eigen_points(r) + ((1.0 / m0,) if m0 is not None else ()),
+        disk_r=r, disk_boundary=DiskBoundary.OPEN, includes_origin=True)
 
 
 def oracle_lb_spectrum(p, alpha):
@@ -109,8 +110,6 @@ def oracle_membership(desc, lam, tol=1e-12):
         return Membership.IN
     if oracle_disk_direct(desc, lam):
         return Membership.IN
-    if any(abs(lam - pt) <= tol for pt in desc.undetermined_points):
-        return Membership.UNDETERMINED
     return Membership.OUT
 
 
@@ -255,11 +254,12 @@ class TestBanachSpectrum:
 
 class TestFrechetSpectrum:
     def test_p2_alpha2_sandwich(self):
+        # 1/r = 1/2 sits on the open disk's boundary, and is an eigenvalue
         desc = spectrum(SpaceSpec(2.0, 2.0, FRECHET))
-        assert desc.points == (1.0,)
-        assert desc.undetermined_points == (0.5,)
+        assert desc.points == (1.0, 0.5)
         assert desc.disk_boundary is DiskBoundary.OPEN
-        assert desc.membership(0.5) is Membership.UNDETERMINED
+        assert desc.membership(0.5) is Membership.IN
+        assert desc.membership(0.5 + 1e-6) is Membership.OUT
         assert desc.membership(0.0) is Membership.IN
         assert desc.membership(1.0) is Membership.IN
 
@@ -271,7 +271,7 @@ class TestFrechetSpectrum:
 
     def test_no_sandwich_when_threshold_not_integer(self):
         desc = spectrum(SpaceSpec(2.0, 1.0, FRECHET))  # r = 1.5
-        assert desc.undetermined_points == ()
+        assert desc.points == (1.0,)
         assert desc.membership(1.0) is Membership.IN
         assert desc.membership(2.0 / 3.0) is Membership.OUT
 
@@ -291,15 +291,16 @@ class TestLBSpectrum:
 
 class TestWaelbroeck:
     def test_frechet_closure_absorbs_sandwich(self):
+        # the closed disk holds 1/r = 1/2, so the closure lists 1 alone
         closed = waelbroeck(spectrum(SpaceSpec(2.0, 2.0, FRECHET)))
         assert closed.disk_boundary is DiskBoundary.CLOSED
-        assert closed.undetermined_points == ()
+        assert closed.points == (1.0,)
         assert closed.membership(0.5) is Membership.IN
         assert closed.membership(1.0) is Membership.IN
         # matches the closure assembled directly
         direct = SpectralDescription(
             points=(1.0,), disk_r=2.0, disk_boundary=DiskBoundary.CLOSED,
-            includes_origin=True).normalized()
+            includes_origin=True)
         assert closed == direct
 
     def test_idempotent(self):
@@ -311,7 +312,16 @@ class TestWaelbroeck:
 
     def test_lb_unchanged(self):
         desc = spectrum(SpaceSpec(2.0, 2.0, LB))
-        assert waelbroeck(desc) == desc.normalized()
+        assert waelbroeck(desc) == desc
+
+    @pytest.mark.parametrize("p,alpha", [
+        (2.0, 2.0), (2.0, 4.0), (1.5, 1.0), (2.0, 1000.0),  # integer r
+        (2.0, 1.0), (1.5, 0.7), (3.0, 2.5), (1.25, 5.0)])
+    def test_closure_of_every_setting_is_banach(self, p, alpha):
+        banach = spectrum(SpaceSpec(p, alpha))
+        assert waelbroeck(spectrum(SpaceSpec(p, alpha, FRECHET))) == banach
+        assert waelbroeck(spectrum(SpaceSpec(p, alpha, LB))) == banach
+        assert waelbroeck(banach) == banach
 
 
 class TestPredicates:
@@ -354,7 +364,7 @@ class TestPredicates:
 _KINDS = st.sampled_from(list(SpaceKind))
 _SPECS = st.one_of(
     st.builds(SpaceSpec, st.floats(1.05, 4.0), st.floats(0.05, 6.0), _KINDS),
-    # (2 + alpha)/p = m, so 1/m is the Frechet undetermined point
+    # (2 + alpha)/p = m, so 1/m is the Frechet boundary eigenvalue
     st.builds(lambda p, m, kind: SpaceSpec(p, m * p - 2.0, kind),
               st.floats(1.05, 4.0), st.integers(2, 5), _KINDS),
 )
@@ -378,11 +388,11 @@ class TestMembershipOracle:
         assert desc.membership(lam) is oracle_membership(desc, lam)
         assert _disk_mask(desc, np.array([lam]))[0] == oracle_disk_direct(desc, lam)
 
-    def test_points_origin_and_undetermined(self):
+    def test_points_origin_and_boundary_point(self):
         desc = spectrum(SpaceSpec(2.0, 4.0, FRECHET))  # r = 3
         for lam in (0.0, 1.0, 0.5, 1.0 / 3.0, 0.2, 0.25 + 0.1j):
             assert desc.membership(lam) is oracle_membership(desc, lam)
-        assert desc.membership(1.0 / 3.0) is Membership.UNDETERMINED
+        assert desc.membership(1.0 / 3.0) is Membership.IN
 
 
 class TestReReciprocal:
@@ -464,6 +474,7 @@ class TestUnresolvableDiskParameter:
     def test_large_resolvable_disk_parameter(self):
         desc = spectrum(SpaceSpec(2.0, 1000.0))  # r = 501
         assert len(desc.points) == 500
+        assert len(spectrum(SpaceSpec(2.0, 1000.0, FRECHET)).points) == 501
         grid = filtered_grid("frechet", 2.0, 1000.0, 5, nx=10, ny=10)
         assert step_union_crosscheck("frechet", 2.0, 1000.0, 5, grid).ok
 
@@ -517,17 +528,12 @@ class TestStreamedAssemblyOracle:
     @pytest.mark.parametrize("kind", [FRECHET, LB])
     @pytest.mark.parametrize("p,alpha,n_max", [
         (2.0, 2.0, 300), (1.5, 0.7, 40), (3.0, 0.3, 80), (1.25, 5.0, 1000),
-        # alpha - 1/n is 0 at n = 93, the first LB step min_step() admits
+        # alpha - 1/n rounds to 0 at n = 93, so the LB steps start at 94
         (2.0, 1.0 / 93.0, 100)])
     def test_step_radii_match_scalar_steps(self, kind, p, alpha, n_max):
         spec = SpaceSpec(p, alpha, kind)
-        try:
-            want = [(2.0 + spec.step_alpha(n)) / p
-                    for n in spec.admissible_steps(n_max)]
-        except ValueError:
-            with pytest.raises(ValueError, match="inadmissible"):
-                _step_radii(kind, p, alpha, n_max)
-            return
+        want = [(2.0 + spec.step_alpha(n)) / p
+                for n in spec.admissible_steps(n_max)]
         assert _step_radii(kind, p, alpha, n_max).tobytes() == \
             np.array(want).tobytes()
 
@@ -583,8 +589,3 @@ class TestDescriptionValidation:
     def test_positive_disk_parameter_required(self):
         with pytest.raises(ValueError):
             SpectralDescription((), 0.0, DiskBoundary.CLOSED, True)
-
-    def test_normalized_drops_implied_points(self):
-        desc = SpectralDescription((0.3, 1.0), 2.0, DiskBoundary.CLOSED, True)
-        norm = desc.normalized()
-        assert norm.points == (1.0,)  # 0.3 sits inside the closed disk
