@@ -277,9 +277,6 @@ def _describe_record(desc) -> dict:
 
 def _cmd_spectrum(args: argparse.Namespace) -> int:
     if args.crosscheck:
-        if args.kind == "banach":
-            print("cross-check applies to frechet or lb kinds", file=sys.stderr)
-            return EXIT_VALIDATION
         nx, ny = args.grid
         rect = args.rect
         grid = filtered_grid(args.kind, args.p, args.alpha, args.nmax,

@@ -95,8 +95,9 @@ def log_beta(a, b):
     a_arr = np.asarray(a, dtype=float)
     b_arr = np.asarray(b, dtype=float)
     if b_arr.ndim == 0 and a_arr.size and b_arr <= a_arr.min():
-        # every library call: a scalar b at or below every a is the smaller
-        # argument throughout, so gammaln(b) is needed once
+        # a scalar b at or below every a, so gammaln(b) is needed once.  The
+        # callers pass b = alpha + 1 and a = jp + 2; at b above the smallest
+        # a (alpha > 1 for parseval_weights, whose j starts at 0) they do not
         shape = a_arr.shape
         lo = b_arr[()]
         hi = np.atleast_1d(a_arr)
@@ -467,12 +468,30 @@ class SpaceKind(enum.Enum):
     LB_UNION = "lb"
 
 
+def _first_step_below(x: float) -> int:
+    """Smallest n >= 1 with 1.0 / n < x in floats, for finite x > 0.
+
+    floor(1/x) + 1 is one off either way where 1/x rounds across an integer.
+    1.0 / n is monotone in n, so a step each way settles it; a step is taken
+    only where it decides (past 2^53, neighbouring n share one float).
+    """
+    inv = 1.0 / x
+    if math.isinf(inv):
+        raise ValueError(f"no step index n has 1/n < {x}: 1/{x} overflows")
+    n = math.floor(inv) + 1
+    if n > 1 and 1.0 / (n - 1) < x:
+        return n - 1
+    if not 1.0 / n < x and 1.0 / (n + 1) < x:
+        return n + 1
+    return n
+
+
 @dataclass(frozen=True)
 class SpaceSpec:
     """Bergman space parameters plus the limit-space structure.
 
-    For FRECHET_INTERSECTION the step seminorms live at alpha + 1/n; for
-    LB_UNION at alpha - 1/n, restricted to steps with alpha - 1/n > 0.
+    The step-index rule: FRECHET_INTERSECTION has the steps n >= 1 at weight
+    alpha + 1/n, LB_UNION the n >= min_step() at alpha - 1/n > 0.
     """
 
     p: float
@@ -484,29 +503,36 @@ class SpaceSpec:
         if not (self.alpha > 0.0) and self.kind is not SpaceKind.BANACH:
             raise ValueError("limit spaces need alpha > 0")
 
-    def step_alpha(self, n: int) -> float:
-        """Weight exponent of the n-th step space."""
-        if n < 1:
-            raise ValueError("step index must be >= 1")
-        if self.kind is SpaceKind.FRECHET_INTERSECTION:
-            return self.alpha + 1.0 / n
-        if self.kind is SpaceKind.LB_UNION:
-            mu = self.alpha - 1.0 / n
-            if mu <= 0.0:
-                raise ValueError(f"step n={n} is inadmissible: alpha - 1/n <= 0")
-            return mu
-        return self.alpha
-
     def min_step(self) -> int:
-        """Smallest admissible step index: 1, or the first n with alpha - 1/n
-        > 0 in floats for LB_UNION."""
+        """1, or for LB_UNION the first n with 1/n < alpha in floats."""
         if self.kind is SpaceKind.LB_UNION:
-            n = int(math.floor(1.0 / self.alpha)) + 1
-            return n if self.alpha - 1.0 / n > 0.0 else n + 1
+            return _first_step_below(self.alpha)
         return 1
 
-    def admissible_steps(self, n_max: int) -> list[int]:
-        return list(range(self.min_step(), n_max + 1))
+    def steps(self, n_max: int) -> np.ndarray:
+        """The admissible step indices n <= n_max; ValueError if none."""
+        first = self.min_step()
+        if n_max < first:
+            raise ValueError(f"no admissible steps n <= {n_max}: the first "
+                             f"is n = {first}")
+        return np.arange(first, n_max + 1)
+
+    def step_alphas(self, steps) -> np.ndarray:
+        """alpha + 1/n (Frechet) or alpha - 1/n (LB) at each step n, bit for
+        bit as the scalar operations give; ValueError for BANACH, no steps
+        and a step below min_step()."""
+        if self.kind is SpaceKind.BANACH:
+            raise ValueError("the banach space has no steps")
+        n = np.asarray(steps, dtype=float)
+        if n.size == 0:
+            raise ValueError("no step indices given")
+        first = self.min_step()
+        if n.min() < first:
+            raise ValueError(f"step n = {int(n.min())} is inadmissible: the "
+                             f"first is n = {first}")
+        sign = 1.0 if self.kind is SpaceKind.FRECHET_INTERSECTION else -1.0
+        # alpha + (-1.0 / n) == alpha - 1.0 / n exactly
+        return self.alpha + sign / n
 
 
 @dataclass(frozen=True)

@@ -20,6 +20,7 @@ from .norms import (
     NonConvergedQuadrature,
     SpaceKind,
     SpaceSpec,
+    _first_step_below,
     _line_fit,
     _log_monomial_ratio,
     norm_quadrature,
@@ -80,10 +81,6 @@ class GrowthClass:
     @property
     def is_converged(self) -> bool:
         return self.kind is GrowthKind.CONVERGED
-
-    @property
-    def is_divergent(self) -> bool:
-        return self.kind in (GrowthKind.POWER_DIVERGENT, GrowthKind.LOG_DIVERGENT)
 
 
 @dataclass(frozen=True)
@@ -212,19 +209,14 @@ def seminorm_family(
 
     Entries where the quadrature fails to converge are marked ok=False (value
     nan) instead of aborting the family; p = 2 uses Parseval summation.
-    Raises ValueError on rel_tol outside (0, 1) or no admissible n <= n_max.
+    Raises ValueError on rel_tol outside (0, 1), a Banach spec or no
+    admissible n <= n_max.
     """
-    if spec.kind is SpaceKind.BANACH:
-        raise ValueError("seminorm families are defined for limit spaces only")
     if not 0.0 < rel_tol < 1.0:
         raise ValueError(f"rel_tol must lie in (0, 1), got {rel_tol}")
-    steps = spec.admissible_steps(n_max)
-    if not steps:
-        raise ValueError(f"no admissible step n <= {n_max}: the first is "
-                         f"n = {spec.min_step()}")
+    steps = spec.steps(n_max)
     out: list[SeminormEntry] = []
-    for n in steps:
-        mu = spec.step_alpha(n)
+    for n, mu in zip(steps.tolist(), spec.step_alphas(steps).tolist()):
         value = float(truncation_norms(f.coeffs, spec.p, mu, [f.degree],
                                        rel_tol=rel_tol)[0])
         out.append(SeminormEntry(n, mu, value, not math.isnan(value)))
@@ -284,27 +276,25 @@ def counterexample_blowup(
             f"need epsilon in (0,1) with p >= 1 + 2*epsilon, got p={p}, "
             f"epsilon={epsilon}")
     spec = SpaceSpec(p, alpha, SpaceKind(kind))
-    if spec.kind is SpaceKind.BANACH:
-        raise ValueError("counterexample applies to limit spaces only")
     degrees = scan_degrees(n_max_degree)
     lb = spec.kind is SpaceKind.LB_UNION
     s = (alpha + 1.0 - (2.0 if lb else 1.0) * epsilon) / p
     # the home step is the first admissible n with 1/n < epsilon; LB tests
     # the finer steps only
-    home = max(int(math.floor(1.0 / epsilon)) + 1, spec.min_step())
+    home = max(_first_step_below(epsilon), spec.min_step())
     first = home + 1 if lb else home
     tested = steps if steps is not None else list(range(first, first + 4))
     if any(n < first for n in tested):
         raise ValueError(f"steps must be >= {first} (1/n < epsilon"
                          f"{', finer than the home step' if lb else ''})")
+    home_alpha, *alphas = spec.step_alphas([home, *tested]).tolist()
     source = binomial_series_coeffs(s, degrees[-1]).coeffs
     inverse = cesaro_inverse_apply(TaylorTruncation(source)).coeffs
     source_scan = _norm_scan(degrees, truncation_norms(
-        source, p, spec.step_alpha(home), degrees), p)
+        source, p, home_alpha, degrees), p)
     inv_scans = tuple(
-        (n, _norm_scan(degrees, truncation_norms(
-            inverse, p, spec.step_alpha(n), degrees), p))
-        for n in tested)
+        (n, _norm_scan(degrees, truncation_norms(inverse, p, mu, degrees), p))
+        for n, mu in zip(tested, alphas))
     return CounterexampleReport(spec.kind, epsilon, s, home, source_scan,
                                 inv_scans)
 
@@ -350,16 +340,15 @@ def schauder_partial_sum_check(
     f_full is the reference truncation (degree at least 2 * n_max) standing
     in for the infinite expansion; its membership in the space is the
     caller's responsibility.  The squared values are the Parseval tail sums
-    at p = 2.
+    at p = 2.  Raises ValueError for a Banach spec, no steps or a step that
+    is not admissible (see SpaceSpec.step_alphas).
     """
-    if spec.kind is SpaceKind.BANACH:
-        raise ValueError("basis check targets the limit spaces")
+    alphas = spec.step_alphas(steps).tolist()
     if f_full.degree < 2 * n_max:
         raise ValueError("reference truncation must have degree >= 2 * n_max")
     degrees = scan_degrees(n_max)
     tails = tuple(
         (n, _norm_scan(degrees, truncation_norms(
-            f_full.coeffs, spec.p, spec.step_alpha(n), degrees, tails=True),
-            spec.p))
-        for n in steps)
+            f_full.coeffs, spec.p, mu, degrees, tails=True), spec.p))
+        for n, mu in zip(steps, alphas))
     return SchauderReport(spec, f_full.degree, tails)

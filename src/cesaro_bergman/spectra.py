@@ -173,20 +173,6 @@ def _re_reciprocal(lams: np.ndarray) -> np.ndarray:
     return out
 
 
-def _step_radii(kind: SpaceKind, p: float, alpha: float,
-                n_max: int) -> np.ndarray:
-    """Disk parameters (2 + step_alpha(n))/p of the admissible steps
-    n <= n_max in order of n, bit for bit as the scalar operations give."""
-    if kind not in (SpaceKind.FRECHET_INTERSECTION, SpaceKind.LB_UNION):
-        raise ValueError("cross-check applies to limit spaces only")
-    spec = SpaceSpec(p, alpha, kind)
-    n = np.arange(spec.min_step(), n_max + 1)
-    if n.size == 0:
-        raise ValueError("no admissible steps: increase n_max")
-    sign = 1.0 if kind is SpaceKind.FRECHET_INTERSECTION else -1.0
-    return (2.0 + (alpha + sign / n)) / p  # alpha + (-1/n) == alpha - 1/n
-
-
 def _exclusion_mask(r_limit: float, radii: np.ndarray, lams: np.ndarray,
                     re: np.ndarray, band: float) -> np.ndarray:
     """Points too close to any boundary circle or isolated point to compare
@@ -280,14 +266,15 @@ def step_union_crosscheck(
     assembly by Re(1/lam) >= r.  Raises :class:`BoundaryTooClose` if the
     grid enters the exclusion band (see :func:`filtered_grid` to build a
     safe grid), and ValueError if there is no sample point to check, no
-    admissible step, or r = (2+alpha)/p is too large (see _R_MAX).
+    step (the Banach kind, or none admissible), or r = (2+alpha)/p is too
+    large (see _R_MAX).
     """
-    kind = SpaceKind(kind) if isinstance(kind, str) else kind
     lams = np.asarray(sample_grid, dtype=complex).ravel()
     if lams.size == 0:
         raise ValueError("no sample points to check: every grid point was "
                          "excluded or the grid is empty")
-    radii = _step_radii(kind, p, alpha, n_max)
+    spec = SpaceSpec(p, alpha, SpaceKind(kind))
+    radii = (2.0 + spec.step_alphas(spec.steps(n_max))) / p
     re = _re_reciprocal(lams)
     bad = _exclusion_mask(_disk_parameter(p, alpha), radii, lams, re, band)
     if np.any(bad):
@@ -295,11 +282,11 @@ def step_union_crosscheck(
         raise BoundaryTooClose(
             f"{int(bad.sum())} grid point(s) inside the exclusion band, "
             f"first offender {offender}")
-    assembled = _assembled_mask(kind, radii, lams, re)
-    limit_mask = _member_mask(spectrum(SpaceSpec(p, alpha, kind)), lams)
+    assembled = _assembled_mask(spec.kind, radii, lams, re)
+    limit_mask = _member_mask(spectrum(spec), lams)
     diff = limit_mask != assembled
     return CrosscheckReport(
-        kind=kind, p=p, alpha=alpha, n_max=n_max, n_checked=len(lams),
+        kind=spec.kind, p=p, alpha=alpha, n_max=n_max, n_checked=len(lams),
         disagreements=tuple(lams[diff]))
 
 
@@ -316,11 +303,11 @@ def filtered_grid(
 ) -> np.ndarray:
     """Rectangular lattice of sample values with the exclusion band applied,
     ready for :func:`step_union_crosscheck`."""
-    kind = SpaceKind(kind) if isinstance(kind, str) else kind
+    spec = SpaceSpec(p, alpha, SpaceKind(kind))
+    radii = (2.0 + spec.step_alphas(spec.steps(n_max))) / p
     re = np.linspace(re_range[0], re_range[1], nx)
     im = np.linspace(im_range[0], im_range[1], ny)
     lams = (re[:, None] + 1j * im[None, :]).ravel()
-    radii = _step_radii(kind, p, alpha, n_max)
     bad = _exclusion_mask(_disk_parameter(p, alpha), radii, lams,
                           _re_reciprocal(lams), band)
     return lams[~bad]

@@ -42,6 +42,9 @@ from cesaro_bergman.spectra import (
 )
 
 
+DIVERGENT = (GrowthKind.POWER_DIVERGENT, GrowthKind.LOG_DIVERGENT)
+
+
 def report(num: int, name: str, ok: bool, detail: str) -> bool:
     print(f"{'PASS' if ok else 'FAIL'} criterion {num} ({name}): {detail}")
     return ok
@@ -124,7 +127,7 @@ def test_criterion_5_threshold_fidelity():
                 scan = eigen_membership_scan(m, p, alpha, n_max=n_max)
                 want_member = expected_eigen_membership(m, p, alpha)
                 got_member = scan.classification.kind is GrowthKind.CONVERGED
-                got_diverges = scan.classification.is_divergent
+                got_diverges = scan.classification.kind in DIVERGENT
                 if want_member != got_member or (not want_member
                                                  and not got_diverges):
                     failures.append((p, alpha, m, scan.classification.kind))
@@ -182,12 +185,12 @@ def test_criterion_6_non_invertibility():
                                 steps=[3, 4, 5, 6])
     fre_ok = (fre.home_step == 3
               and fre.source_scan.classification.kind is GrowthKind.CONVERGED
-              and all(s.classification.is_divergent
+              and all(s.classification.kind in DIVERGENT
                       for _, s in fre.inverse_scans))
     lb = counterexample_blowup(2.0, 1.0, 0.4, SpaceKind.LB_UNION,
                                steps=[4, 5, 6, 7])
     lb_ok = (lb.source_scan.classification.kind is GrowthKind.CONVERGED
-             and all(s.classification.is_divergent
+             and all(s.classification.kind in DIVERGENT
                      for _, s in lb.inverse_scans))
     ok = fre_ok and lb_ok
     assert report(6, "non-invertibility counterexample", ok,

@@ -233,10 +233,29 @@ class TestSpectrumCommand:
         assert code == 0
         assert json.loads(out)["disagreements"] == []
 
+    def test_lb_crosscheck_just_above_a_reciprocal(self, capsys):
+        # alpha = 0.11111111111111112 > 1/9: alpha - 1/9 = 1.4e-17, so step 9
+        # is admissible and --nmax 9 has a step to check
+        code, out, err = run_cli(capsys, "spectrum", "--kind", "lb", "-p",
+                                 "2", "--alpha", "0.11111111111111112",
+                                 "--crosscheck", "--grid", "10x10",
+                                 "--nmax", "9")
+        assert code == 0, err
+        assert json.loads(out)["disagreements"] == []
+
+    def test_lb_alpha_with_no_step(self, capsys):
+        # 1/alpha overflows at the least subnormal: no step n has 1/n < alpha
+        code, out, err = run_cli(capsys, "spectrum", "--kind", "lb", "-p",
+                                 "2", "--alpha", "5e-324", "--crosscheck",
+                                 "--grid", "3x3", "--nmax", "5")
+        assert code == 2 and out == ""
+        assert "overflows" in err
+
     def test_crosscheck_needs_limit_kind(self, capsys):
         code, _, err = run_cli(capsys, "spectrum", "--kind", "banach",
                                "-p", "2", "--alpha", "2", "--crosscheck")
         assert code == 2
+        assert "banach space has no steps" in err
 
     @pytest.mark.parametrize("kind", ["frechet", "lb"])
     def test_crosscheck_without_steps_exits_2(self, capsys, kind):
@@ -447,6 +466,39 @@ class TestScanCommand:
         assert [t["step"] for t in record["tails"]] == [1, 2]
         for tail in record["tails"]:
             assert tail["classification"]["kind"] == "converged"
+
+    @pytest.mark.parametrize("strict", [(), ("--strict",)])
+    def test_schauder_without_steps_exits_2(self, capsys, strict):
+        # an empty --basis-steps used to print "tails": [] and exit 0
+        code, out, err = run_cli(capsys, "scan", "schauder", "--function",
+                                 "constant", "--kind", "lb", "-p", "2",
+                                 "--alpha", "1", "--basis-steps", "",
+                                 "--nmax", "128", *strict)
+        assert code == 2 and out == ""
+        assert "no step indices" in err
+
+    @pytest.mark.parametrize("epsilon, home", [
+        # 1/93 and just above 1/9: the home step is the first n with
+        # 1/n < epsilon, 94 and 9 (floor(1/epsilon) + 1 read 93 and 10)
+        ("0.010752688172043012", 94), ("0.11111111111111112", 9),
+        # past 2^53 the home step is floor(1/epsilon) + 1, as it always was
+        ("1e-300", math.floor(1.0 / 1e-300) + 1)])
+    def test_counterexample_home_step(self, capsys, epsilon, home):
+        code, out, err = run_cli(capsys, "scan", "counterexample", "-p", "2",
+                                 "--alpha", "1", "--epsilon", epsilon,
+                                 "--kind", "frechet", "--nmax", "128")
+        assert code == 0, err
+        record = json.loads(out)
+        assert record["home_step"] == home
+        assert [r["step"] for r in record["inverse"]] == \
+            [home, home + 1, home + 2, home + 3]
+
+    def test_counterexample_subnormal_epsilon_exits_2(self, capsys):
+        code, out, err = run_cli(capsys, "scan", "counterexample", "-p", "2",
+                                 "--alpha", "1", "--epsilon", "5e-324",
+                                 "--kind", "frechet", "--nmax", "128")
+        assert code == 2 and out == ""
+        assert "overflows" in err
 
     def test_counterexample_end_to_end(self, capsys):
         code, out, _ = run_cli(capsys, "scan", "counterexample", "-p", "2",

@@ -882,28 +882,59 @@ class TestAngularRefinement:
 class TestSpaceSpec:
     def test_frechet_steps(self):
         spec = SpaceSpec(2.0, 1.0, SpaceKind.FRECHET_INTERSECTION)
-        assert spec.step_alpha(4) == 1.25
-        assert spec.admissible_steps(3) == [1, 2, 3]
+        assert spec.steps(3).tolist() == [1, 2, 3]
+        assert spec.step_alphas([4, 2]).tolist() == [1.25, 1.5]
+        with pytest.raises(ValueError, match="no admissible steps n <= 0: "
+                                             "the first is n = 1"):
+            spec.steps(0)
 
     def test_lb_admissibility(self):
         spec = SpaceSpec(2.0, 0.3, SpaceKind.LB_UNION)
         assert spec.min_step() == 4
-        assert spec.step_alpha(4) == pytest.approx(0.05)
-        with pytest.raises(ValueError):
-            spec.step_alpha(3)
+        assert spec.steps(5).tolist() == [4, 5]
+        assert spec.step_alphas([4])[0] == pytest.approx(0.05)
+        with pytest.raises(ValueError, match="step n = 3 is inadmissible"):
+            spec.step_alphas([5, 3])
+        with pytest.raises(ValueError, match="no step indices"):
+            spec.step_alphas([])
+        with pytest.raises(ValueError, match="no admissible steps n <= 3: "
+                                             "the first is n = 4"):
+            spec.steps(3)
+        with pytest.raises(ValueError, match="banach space has no steps"):
+            SpaceSpec(2.0, 0.3).step_alphas([1])
 
     def test_lb_first_step_admissible_at_reciprocal_alphas(self):
-        # at alpha = 1/k, 1/alpha can round below k, and floor(1/alpha) + 1
-        # names step k, where alpha - 1/k is 0 (153 of the k below 3000,
-        # k = 93 the first); min_step names step k + 1 for every k
-        rounded_below = 0
+        # every x within 20 ulps of 1/k, k < 3000: the LB min_step at alpha
+        # = x and the counterexample home step at epsilon = x are the first n
+        # with 1.0 / n < x, found here by stepping n one at a time.  The
+        # plain floor(1/x) + 1 misses it on 488 of these values, and a
+        # correction upward only on 335 (at alpha = 0.11111111111111112 it
+        # named step 10, though alpha - 1/9 = 1.4e-17 > 0)
+        plain_wrong = upward_wrong = 0
         for k in range(1, 3000):
-            alpha = 1.0 / k
-            spec = SpaceSpec(2.0, alpha, SpaceKind.LB_UNION)
-            assert spec.min_step() == k + 1
-            assert spec.step_alpha(k + 1) > 0.0
-            rounded_below += int(math.floor(1.0 / alpha)) + 1 == k
-        assert rounded_below == 153
+            bits = np.float64(1.0 / k).view(np.int64)
+            for x in (bits + np.arange(-20, 21)).view(np.float64).tolist():
+                want = max(1, k - 2)
+                assert want == 1 or not 1.0 / (want - 1) < x
+                while not 1.0 / want < x:
+                    want += 1
+                spec = SpaceSpec(2.0, x, SpaceKind.LB_UNION)
+                assert spec.min_step() == norms._first_step_below(x) == want
+                assert spec.step_alphas([want])[0] > 0.0
+                if want > 1:
+                    assert x - 1.0 / (want - 1) <= 0.0
+                plain = math.floor(1.0 / x) + 1
+                plain_wrong += plain != want
+                upward_wrong += (plain if x - 1.0 / plain > 0.0
+                                 else plain + 1) != want
+        assert (plain_wrong, upward_wrong) == (488, 335)
+
+    def test_first_step_below_far_out(self):
+        # past 2^53 neighbouring n share a float: floor(1/x) + 1 stands, as
+        # the counterexample at epsilon = 1e-300 has always printed
+        assert norms._first_step_below(1e-300) == math.floor(1.0 / 1e-300) + 1
+        with pytest.raises(ValueError, match="overflows"):
+            norms._first_step_below(5e-324)
 
     def test_limit_space_needs_positive_alpha(self):
         with pytest.raises(ValueError):

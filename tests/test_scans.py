@@ -29,6 +29,7 @@ from cesaro_bergman.spectra import spectrum
 
 
 DEGS = scan_degrees(1 << 14)
+DIVERGENT = (GrowthKind.POWER_DIVERGENT, GrowthKind.LOG_DIVERGENT)
 
 
 # ---------------------------------------------------------------------------
@@ -294,13 +295,13 @@ class TestEigenScan:
     def test_nonmember_diverges(self):
         scan = eigen_membership_scan(3, 2.0, 2.0)
         assert not expected_eigen_membership(3, 2.0, 2.0)
-        assert scan.classification.is_divergent
+        assert scan.classification.kind in DIVERGENT
 
     def test_boundary_case_evidence(self):
         # m = (2+alpha)/p: divergent in the Banach norm at alpha itself,
         # convergent at the first intersection steps alpha + 1/n
         base = eigen_membership_scan(2, 2.0, 2.0)
-        assert base.classification.is_divergent
+        assert base.classification.kind in DIVERGENT
         for n in (1, 2):
             step = eigen_membership_scan(2, 2.0, 2.0 + 1.0 / n)
             assert step.classification.kind is GrowthKind.CONVERGED
@@ -313,7 +314,7 @@ class TestEigenScan:
         if want:
             assert scan.classification.kind is GrowthKind.CONVERGED
         else:
-            assert scan.classification.is_divergent
+            assert scan.classification.kind in DIVERGENT
 
     def test_quadrature_failure_becomes_undetermined(self, monkeypatch):
         def boom(*args, **kwargs):
@@ -347,7 +348,7 @@ class TestCounterexample:
         assert report.source_scan.classification.kind is GrowthKind.CONVERGED
         for n, scan in report.inverse_scans:
             assert n >= 3
-            assert scan.classification.is_divergent, (n, scan.values[-3:])
+            assert scan.classification.kind in DIVERGENT, (n, scan.values[-3:])
 
     def test_lb_case(self):
         report = counterexample_blowup(2.0, 1.0, 0.4, "lb")
@@ -355,7 +356,7 @@ class TestCounterexample:
         assert report.source_scan.classification.kind is GrowthKind.CONVERGED
         for n, scan in report.inverse_scans:
             assert n > report.home_step
-            assert scan.classification.is_divergent
+            assert scan.classification.kind in DIVERGENT
 
     def test_invalid_epsilon(self):
         with pytest.raises(InvalidEpsilon):
@@ -451,6 +452,19 @@ class TestSchauder:
                                        n_max=1 << 10)
 
 
+def test_banach_spec_has_no_steps():
+    # one refusal, in SpaceSpec.step_alphas, serves every step-based caller
+    spec = SpaceSpec(2.0, 1.0)
+    f = eigenfunction_truncation(1, 256)
+    calls = (lambda: seminorm_family(f, spec, 4),
+             lambda: counterexample_blowup(2.0, 1.0, 0.4, "banach",
+                                           n_max_degree=128),
+             lambda: schauder_partial_sum_check(f, spec, 128))
+    for call in calls:
+        with pytest.raises(ValueError, match="banach space has no steps"):
+            call()
+
+
 def test_lb_eigen_divergence_at_every_admissible_step():
     # the eigenvalue-2 eigenfunction escapes the whole union scale at p=2,
     # alpha=2: m = (2 + alpha - 1/n)/p fails for every n
@@ -460,4 +474,4 @@ def test_lb_eigen_divergence_at_every_admissible_step():
     for entry in fam:
         assert 2 >= (2.0 + entry.alpha) / 2.0
         scan = eigen_membership_scan(2, 2.0, entry.alpha)
-        assert scan.classification.is_divergent
+        assert scan.classification.kind in DIVERGENT

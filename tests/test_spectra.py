@@ -14,7 +14,6 @@ from cesaro_bergman.spectra import (
     _exclusion_mask,
     _member_mask,
     _re_reciprocal,
-    _step_radii,
 )
 from cesaro_bergman.spectra import (
     BoundaryTooClose,
@@ -167,8 +166,16 @@ class TestSpectrumOracle:
 def _oracle_step_alphas(kind, alpha, n_max):
     if kind is SpaceKind.FRECHET_INTERSECTION:
         return [alpha + 1.0 / n for n in range(1, n_max + 1)]
-    n_min = int(math.floor(1.0 / alpha)) + 1
+    n_min = 1
+    while not alpha - 1.0 / n_min > 0.0:
+        n_min += 1
     return [alpha - 1.0 / n for n in range(n_min, n_max + 1)]
+
+
+def _step_radii(kind, p, alpha, n_max):
+    # the disk parameters the cross-check builds from the step rule
+    spec = SpaceSpec(p, alpha, SpaceKind(kind))
+    return (2.0 + spec.step_alphas(spec.steps(n_max))) / p
 
 
 def oracle_exclusion_mask(kind, p, alpha, n_max, lams, band):
@@ -532,10 +539,10 @@ class TestStreamedAssemblyOracle:
         (2.0, 1.0 / 93.0, 100)])
     def test_step_radii_match_scalar_steps(self, kind, p, alpha, n_max):
         spec = SpaceSpec(p, alpha, kind)
-        want = [(2.0 + spec.step_alpha(n)) / p
-                for n in spec.admissible_steps(n_max)]
-        assert _step_radii(kind, p, alpha, n_max).tobytes() == \
-            np.array(want).tobytes()
+        steps = spec.steps(n_max)
+        want = [alpha + 1.0 / n if kind is FRECHET else alpha - 1.0 / n
+                for n in steps.tolist()]
+        assert spec.step_alphas(steps).tobytes() == np.array(want).tobytes()
 
     @settings(max_examples=150, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
@@ -550,9 +557,9 @@ class TestStreamedAssemblyOracle:
     def test_random_rects(self, kind, p, alpha, n_max, re0, re_span, im0,
                           im_span, nx, ny, band):
         lams = _lattice((re0, re0 + re_span, im0, im0 + im_span), nx, ny)
-        if kind == "lb" and int(math.floor(1.0 / alpha)) + 1 > n_max:
+        if not _oracle_step_alphas(SpaceKind(kind), alpha, n_max):
             with pytest.raises(ValueError, match="no admissible steps"):
-                _step_radii(SpaceKind(kind), p, alpha, n_max)
+                filtered_grid(kind, p, alpha, n_max, nx=nx, ny=ny, band=band)
             return
         assert_matches_oracle(kind, p, alpha, n_max, lams, band)
 
