@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import functools
 import json
 import math
 import sys
@@ -192,6 +193,8 @@ def _load_coeffs(path: str) -> TaylorTruncation:
 # ---------------------------------------------------------------------------
 
 def _cmd_norm(args: argparse.Namespace) -> int:
+    if args.format == "csv" and not args.family:
+        raise ValueError("norm --format csv needs --family")
     if args.monomial:
         if args.index is None:
             print("norm --monomial requires -j/--index", file=sys.stderr)
@@ -326,25 +329,23 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
 def _scan_eigen(args: argparse.Namespace):
     from concurrent.futures import ThreadPoolExecutor
 
-    ms = args.m_list if args.m_list else [args.m]
-    with ThreadPoolExecutor(max_workers=min(args.jobs, len(ms))) as pool:
+    with ThreadPoolExecutor(max_workers=min(args.jobs, len(args.ms))) as pool:
         scans = list(pool.map(
             lambda m: eigen_membership_scan(m, args.p, args.alpha, args.nmax),
-            ms))
+            args.ms))
     results = [dict(m=m, expected_member=expected_eigen_membership(
                         m, args.p, args.alpha), **_scan_record(scan))
-               for m, scan in zip(ms, scans)]
+               for m, scan in zip(args.ms, scans)]
     fields = {"p": args.p, "alpha": args.alpha, "n_max": args.nmax,
               "results": results}
-    rows = [(m, d, v) for m, s in zip(ms, scans)
+    rows = [(m, d, v) for m, s in zip(args.ms, scans)
             for d, v in zip(s.degrees, s.values)]
     return fields, rows, ("m", "degree", "value"), scans
 
 
 def _scan_counterexample(args: argparse.Namespace):
-    steps = _parse_int_list(args.steps) if args.steps else None
     report = counterexample_blowup(args.p, args.alpha, args.epsilon,
-                                   args.kind, args.nmax, steps=steps)
+                                   args.kind, args.nmax, steps=args.steps)
     fields = {
         "kind": args.kind, "p": args.p, "alpha": args.alpha,
         "epsilon": args.epsilon,
@@ -389,6 +390,12 @@ def _scan_inclusion(args: argparse.Namespace):
 
 
 def _scan_schauder(args: argparse.Namespace):
+    if (args.m is None) == (args.function == "eigenfunction"):
+        raise ValueError("--function eigenfunction requires -m; no other "
+                         "takes it")
+    if (args.exponent is None) == (args.function == "binomial-plus"):
+        raise ValueError("--function binomial-plus requires --exponent; no "
+                         "other takes it")
     top = 2 * args.nmax
     if args.function == "constant":
         coeffs = np.zeros(top + 1, dtype=complex)
@@ -400,7 +407,7 @@ def _scan_schauder(args: argparse.Namespace):
         f = binomial_series_coeffs(args.exponent, top)
     spec = SpaceSpec(args.p, args.alpha, SpaceKind(args.kind))
     report = schauder_partial_sum_check(
-        f, spec, args.nmax, steps=tuple(_parse_int_list(args.basis_steps)))
+        f, spec, args.nmax, steps=tuple(args.basis_steps))
     fields = {
         "kind": args.kind, "p": args.p, "alpha": args.alpha,
         "function": args.function, "n_big": report.n_big,
@@ -412,23 +419,14 @@ def _scan_schauder(args: argparse.Namespace):
             [s for _, s in report.tails])
 
 
-_SCAN_TARGETS = {
-    "eigen": _scan_eigen,
-    "counterexample": _scan_counterexample,
-    "gp": _scan_gp,
-    "inclusion": _scan_inclusion,
-    "schauder": _scan_schauder,
-}
-
-
 def _cmd_scan(args: argparse.Namespace) -> int:
-    fields, rows, header, checked = _SCAN_TARGETS[args.target](args)
+    fields, rows, header, checked = args.run(args)
     if args.format == "csv":
         _write_output(_csv_rows(rows, header), args.out)
     else:
         _write_record("scan", {"target": args.target, **fields}, args.out)
-    if args.strict and any(s.classification.kind is GrowthKind.UNDETERMINED
-                           for s in checked):
+    if getattr(args, "strict", False) and any(
+            s.classification.kind is GrowthKind.UNDETERMINED for s in checked):
         print("strict mode: at least one scan is undetermined", file=sys.stderr)
         return EXIT_NUMERIC
     return EXIT_OK
@@ -455,7 +453,9 @@ def _cmd_selftest(args: argparse.Namespace) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process on first use."""
     parser = argparse.ArgumentParser(
         prog="cesaro-bergman",
         description="Cesàro operator on weighted Bergman spaces: norms, "
@@ -463,9 +463,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp):
+    def common(sp, *formats):
         sp.add_argument("--out", default=None, help="write output to this path")
-        sp.add_argument("--format", choices=("json", "csv"), default="json")
+        if formats:
+            sp.add_argument("--format", choices=formats, default=formats[0])
 
     p_norm = sub.add_parser("norm", help="Bergman norms and seminorm families")
     mode = p_norm.add_mutually_exclusive_group(required=True)
@@ -484,7 +485,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="largest step index for --family")
     p_norm.add_argument("--check-asymptotic", action="store_true",
                         help="report the large-degree norm law for --monomial")
-    common(p_norm)
+    common(p_norm, "json", "csv")
     p_norm.set_defaults(func=_cmd_norm)
 
     p_spec = sub.add_parser("spectrum", help="spectral sets and membership")
@@ -519,83 +520,76 @@ def build_parser() -> argparse.ArgumentParser:
     p_spec.set_defaults(func=_cmd_spectrum)
 
     p_scan = sub.add_parser("scan", help="truncation-norm divergence scans")
-    p_scan.add_argument("target", choices=("eigen", "counterexample", "gp",
-                                           "inclusion", "schauder"))
-    p_scan.add_argument("-p", type=float, default=2.0)
-    p_scan.add_argument("--alpha", type=float, default=1.0)
-    p_scan.add_argument("-m", type=int, default=None)
-    p_scan.add_argument("--m-list", type=_parse_int_list, default=None,
-                        help="comma-separated m values (eigen batch)")
-    p_scan.add_argument("--nmax", type=int, default=DEFAULT_N_MAX,
-                        help="largest truncation degree")
-    p_scan.add_argument("--jmax", type=int, default=None,
-                        help="largest index for gp/inclusion scans")
-    p_scan.add_argument("--epsilon", type=float, default=None)
-    p_scan.add_argument("--kind", choices=("frechet", "lb"), default="frechet")
-    p_scan.add_argument("--steps", default=None,
-                        help="comma-separated step indices (counterexample)")
-    p_scan.add_argument("--mu", type=float, default=None)
-    p_scan.add_argument("--gamma", type=float, default=None)
-    p_scan.add_argument("--function",
-                        choices=("constant", "eigenfunction", "binomial-plus"),
-                        default="eigenfunction",
-                        help="series generator for schauder")
-    p_scan.add_argument("--exponent", type=float, default=None,
-                        help="binomial exponent for schauder binomial-plus")
-    p_scan.add_argument("--basis-steps", default="1,2,3",
-                        help="step seminorms tested by schauder")
-    p_scan.add_argument("--strict", action="store_true",
-                        help="exit 3 when any classification is undetermined")
-    p_scan.add_argument("--jobs", type=int, default=1)
-    common(p_scan)
     p_scan.set_defaults(func=_cmd_scan)
+    targets = p_scan.add_subparsers(dest="target", required=True)
+
+    indices = _checked(_parse_int_list, lambda v: len(set(v)) == len(v),
+                       "distinct comma-separated integers")
+
+    def target(name, run, summary, alpha=True, nmax=True, strict=True):
+        t = targets.add_parser(name, help=summary)
+        t.add_argument("-p", type=float, default=2.0)
+        if alpha:
+            t.add_argument("--alpha", type=float, default=1.0)
+        if nmax:
+            t.add_argument("--nmax", type=int, default=DEFAULT_N_MAX,
+                           help="largest truncation degree")
+        if strict:
+            t.add_argument("--strict", action="store_true", help="exit 3 "
+                           "when any classification is undetermined")
+        common(t, "json", "csv")
+        t.set_defaults(run=run)
+        return t
+
+    eigen = target("eigen", _scan_eigen, "eigenvalue thresholds")
+    ms = eigen.add_mutually_exclusive_group(required=True)
+    ms.add_argument("-m", dest="ms", metavar="M", type=_checked(
+        lambda s: [int(s)], bool, "an integer"))
+    ms.add_argument("--m-list", dest="ms", metavar="M,...", type=_checked(
+        indices, bool, "one or more m"), help="comma-separated m values")
+    eigen.add_argument("--jobs", type=_checked(int, lambda j: j >= 1,
+                                               "an integer >= 1"), default=1)
+
+    counter = target("counterexample", _scan_counterexample,
+                     "no bounded inverse")
+    counter.add_argument("--epsilon", type=float, required=True)
+    counter.add_argument("--kind", choices=("frechet", "lb"), default="frechet")
+    counter.add_argument("--steps", type=indices, help="step indices")
+
+    gp = target("gp", _scan_gp, "Grothendieck-Pietsch non-nuclearity",
+                nmax=False)
+    gp.add_argument("-m", type=int, required=True)
+    gp.add_argument("--jmax", type=int, default=10 ** 5, help="largest index")
+
+    inclusion = target("inclusion", _scan_inclusion, "compact inclusions",
+                       alpha=False, nmax=False, strict=False)
+    inclusion.add_argument("--mu", type=float, required=True)
+    inclusion.add_argument("--gamma", type=float, required=True)
+    inclusion.add_argument("--jmax", type=int, default=10 ** 4,
+                           help="largest index")
+
+    schauder = target("schauder", _scan_schauder, "monomial Schauder basis")
+    schauder.add_argument("--kind", choices=("frechet", "lb"), default="frechet")
+    schauder.add_argument("--function", choices=(
+        "constant", "eigenfunction", "binomial-plus"), default="eigenfunction")
+    schauder.add_argument("-m", type=int, help="eigenfunction index")
+    schauder.add_argument("--exponent", type=float, help="binomial exponent")
+    schauder.add_argument("--basis-steps", type=indices, default=[1, 2, 3],
+                          help="step seminorms tested")
 
     p_test = sub.add_parser("selftest", help="run the built-in invariant suite")
     p_test.add_argument("--quick", action="store_true",
                         help="smaller sizes, finishes in seconds")
-    p_test.add_argument("--out", default=None, help="write output to this path")
-    p_test.add_argument("--format", choices=("text", "json"), default="text")
+    common(p_test, "text", "json")
     p_test.set_defaults(func=_cmd_selftest)
     return parser
 
 
-def _validate_scan_args(args: argparse.Namespace) -> str | None:
-    if args.command != "scan":
-        return None
-    if args.target == "eigen" and not args.m_list and args.m is None:
-        return "scan eigen requires -m or --m-list"
-    if args.jobs < 1:
-        return f"--jobs must be >= 1, got {args.jobs}"
-    if args.target == "schauder":
-        if args.function == "eigenfunction" and args.m is None:
-            return "schauder --function eigenfunction requires -m"
-        if args.function == "binomial-plus" and args.exponent is None:
-            return "schauder --function binomial-plus requires --exponent"
-    if args.target == "counterexample" and args.epsilon is None:
-        return "scan counterexample requires --epsilon"
-    if args.target == "gp":
-        if args.m is None:
-            return "scan gp requires -m"
-        if args.jmax is None:
-            args.jmax = 10 ** 5
-    if args.target == "inclusion":
-        if args.mu is None or args.gamma is None:
-            return "scan inclusion requires --mu and --gamma"
-        if args.jmax is None:
-            args.jmax = 10 ** 4
-    return None
-
-
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:  # argparse validation or --help/--version
         return int(exc.code or 0)
-    message = _validate_scan_args(args)
-    if message:
-        print(message, file=sys.stderr)
-        return EXIT_VALIDATION
     try:
         return args.func(args)
     except NonConvergedQuadrature as exc:

@@ -61,7 +61,8 @@ _SCAN_QUAD_TOL = 5e-5  # classification needs ~1% values; leave margin
 
 
 class InvalidEpsilon(ValueError):
-    """epsilon outside (0, 1) or incompatible with p (need p >= 1 + 2 eps)."""
+    """epsilon outside (0, 1), incompatible with p (need p >= 1 + 2 eps), or
+    so small that the home step's weight alpha +/- 1/n rounds to alpha."""
 
 
 class GrowthKind(enum.Enum):
@@ -287,7 +288,11 @@ def counterexample_blowup(
     if any(n < first for n in tested):
         raise ValueError(f"steps must be >= {first} (1/n < epsilon"
                          f"{', finer than the home step' if lb else ''})")
-    home_alpha, *alphas = spec.step_alphas([home, *tested]).tolist()
+    alphas = spec.step_alphas(tested).tolist()
+    home_alpha, = spec.step_alphas([home]).tolist()
+    if home_alpha == alpha:
+        raise InvalidEpsilon(f"epsilon={epsilon} moves no weight: at its home "
+                             f"step n, alpha +/- 1/n rounds to alpha={alpha}")
     source = binomial_series_coeffs(s, degrees[-1]).coeffs
     inverse = cesaro_inverse_apply(TaylorTruncation(source)).coeffs
     source_scan = _norm_scan(degrees, truncation_norms(

@@ -1,3 +1,6 @@
+import argparse
+import contextlib
+import io
 import json
 import math
 import time
@@ -5,6 +8,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cesaro_bergman import cli, norms, scans, series
 
@@ -430,7 +435,7 @@ class TestScanCommand:
         assert code == 2 and "epsilon" in err
 
     @pytest.mark.parametrize("argv, message", [
-        (("eigen",), "requires -m or --m-list"),
+        (("eigen",), "one of the arguments -m --m-list is required"),
         (("schauder", "--function", "eigenfunction"), "requires -m"),
         (("schauder", "--function", "binomial-plus"), "requires --exponent")])
     def test_target_specific_args_required(self, capsys, argv, message):
@@ -484,14 +489,26 @@ class TestScanCommand:
         # past 2^53 the home step is floor(1/epsilon) + 1, as it always was
         ("1e-300", math.floor(1.0 / 1e-300) + 1)])
     def test_counterexample_home_step(self, capsys, epsilon, home):
+        # alpha = 1e-300, so that alpha + 1/n moves off alpha even at
+        # n ~ 1e300 (at alpha = 1 that epsilon is refused, see below)
         code, out, err = run_cli(capsys, "scan", "counterexample", "-p", "2",
-                                 "--alpha", "1", "--epsilon", epsilon,
+                                 "--alpha", "1e-300", "--epsilon", epsilon,
                                  "--kind", "frechet", "--nmax", "128")
         assert code == 0, err
         record = json.loads(out)
         assert record["home_step"] == home
         assert [r["step"] for r in record["inverse"]] == \
             [home, home + 1, home + 2, home + 3]
+
+    @pytest.mark.parametrize("kind", ["frechet", "lb"])
+    def test_counterexample_epsilon_too_small_exits_2(self, capsys, kind):
+        # every step weight alpha +/- 1/n, n ~ 1e300, rounds to alpha = 1:
+        # this printed four "inverse" scans of A^2_1 itself and exited 0
+        code, out, err = run_cli(capsys, "scan", "counterexample", "-p", "2",
+                                 "--alpha", "1", "--epsilon", "1e-300",
+                                 "--kind", kind, "--nmax", "128")
+        assert code == 2 and out == ""
+        assert "moves no weight" in err
 
     def test_counterexample_subnormal_epsilon_exits_2(self, capsys):
         code, out, err = run_cli(capsys, "scan", "counterexample", "-p", "2",
@@ -681,3 +698,179 @@ def test_version_flag(capsys):
     code = cli.main(["--version"])
     out = capsys.readouterr().out
     assert code == 0 and out.strip()
+
+
+# Valid base argv per scan target, each a fast run that exits 0.
+_GOOD_TARGET_ARGV = {
+    "eigen": ["-m", "1", "--nmax", "128"],
+    "counterexample": ["--epsilon", "0.4", "--nmax", "128"],
+    "gp": ["-m", "2", "--jmax", "256"],
+    "inclusion": ["--mu", "1", "--gamma", "2", "--jmax", "64"],
+    "schauder": ["-m", "1", "--nmax", "128"],
+}
+
+
+def _leaf_parsers():
+    """(argv prefix, parser) for every command and every scan target."""
+    def children(parser):
+        [sub] = [a for a in parser._actions
+                 if isinstance(a, argparse._SubParsersAction)]
+        return sub.choices.items()
+    leaves = []
+    for name, parser in children(cli.build_parser()):
+        if name == "scan":
+            leaves += [(("scan", t), sp) for t, sp in children(parser)]
+        else:
+            leaves.append(((name,), parser))
+    return leaves
+
+
+def _options(parser) -> set[str]:
+    return {opt for a in parser._actions if a.dest != "help"
+            for opt in a.option_strings}
+
+
+_index_lists = st.lists(st.integers(0, 6), max_size=4).map(
+    lambda v: ",".join(map(str, v)))
+_small_int = st.integers(-1, 6).map(str)
+# Values for each option, by dest: mostly valid, one invalid, and small
+# sizes (--nmax, --jmax) so that every run is short.  A new option without
+# an entry here fails the test with a KeyError.
+_VALUES = {dest: st.sampled_from(values) for dest, values in {
+    "p": ["2", "2", "1.5", "3", "nan"],
+    "alpha": ["1", "2", "0.2", "inf"],
+    "index": ["0", "3", "17", "x"],
+    "rel_tol": ["1e-9", "1e-3", "0"],
+    "nmax_steps": ["3", "8", "0"],
+    "lam": ["0.5", "0.3,0.1", "0,-0.2", "nan"],
+    "grid": ["3x3", "5x5", "2x4", "0x2"],
+    "rect": ["-1,2,-1,1", "0,1,0,1", "1,0,0,1"],
+    "band": ["1e-9", "0", "-1"],
+    "nmax": ["256", "128", "65", "8"],
+    "jmax": ["256", "128", "64", "8"],
+    "jobs": ["1", "2", "0"],
+    "epsilon": ["0.4", "0.1", "0.25", "1e-300"],
+    "mu": ["1", "0.5", "nan"],
+    "gamma": ["2", "3", "1"],
+    "exponent": ["0.4", "0.8", "nan"],
+}.items()} | {"m": _small_int, "steps": _index_lists,
+             "basis_steps": _index_lists}
+
+
+@pytest.fixture(scope="module")
+def coeffs_path(tmp_path_factory):
+    path = tmp_path_factory.mktemp("grammar") / "f.json"
+    path.write_text("[[1.0, 0.0], [0.5, -0.25], [0.0, 0.125]]")
+    return str(path)
+
+
+def _value(action, coeffs_path):
+    if action.choices:
+        return st.sampled_from(list(action.choices))
+    if action.dest == "ms":   # eigen: -m M or --m-list M,...
+        return _small_int if "-m" in action.option_strings else _index_lists
+    if action.dest == "coeffs_file":
+        return st.sampled_from([coeffs_path, coeffs_path + ".missing"])
+    return _VALUES[action.dest]
+
+
+def _drawn_argv_property(command, parser, coeffs_path):
+    """Draw argv from the parser's own options and run it in-process: no
+    uncaught exception, and an exit code of 0, 2, 3 or 4."""
+    groups = [g._group_actions for g in parser._mutually_exclusive_groups]
+    grouped = [a for group in groups for a in group]
+    single = [a for a in parser._actions if a.option_strings
+              and a.dest not in ("help", "out") and a not in grouped]
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(data=st.data())
+    def run(data):
+        chosen = []
+        for group in groups:   # mostly one member; none or two exit 2
+            chosen += data.draw(
+                st.sampled_from(group).map(lambda a: [a])
+                | st.lists(st.sampled_from(group), max_size=2, unique=True))
+        # the sizes always (their defaults run for seconds); required
+        # options are left out now and then, which exits 2
+        chosen += [a for a in single
+                   if a.dest in ("nmax", "jmax") or data.draw(
+                       st.sampled_from([True] * 4 + [False]) if a.required
+                       else st.booleans())]
+        argv = list(command)
+        for action in data.draw(st.permutations(chosen)):
+            argv.append(data.draw(st.sampled_from(action.option_strings)))
+            if action.nargs != 0:
+                argv.append(data.draw(_value(action, coeffs_path)))
+        out, err = io.StringIO(), io.StringIO()
+        with pytest.MonkeyPatch.context() as mp, \
+                contextlib.redirect_stdout(out), \
+                contextlib.redirect_stderr(err):
+            mp.setattr(cli, "run_selftest", lambda quick: [])
+            code = cli.main(argv)
+        assert code in (0, 2, 3, 4), (argv, code, err.getvalue())
+        if code == 0 and command[0] != "selftest" and "csv" not in argv:
+            json.loads(out.getvalue())
+
+    run()
+
+
+class TestGrammar:
+    """Each command and scan target takes its own options and no other."""
+
+    @pytest.mark.parametrize("argv", [
+        ("scan", "eigen", "-m", "2", "--m-list", "3,4"),
+        ("scan", "gp", "-m", "2", "--epsilon", "5"),
+        ("scan", "inclusion", "--mu", "1", "--gamma", "2", "--strict"),
+        ("scan", "schauder", "--function", "constant", "-m", "3"),
+        ("scan", "schauder", "--function", "eigenfunction", "-m", "1",
+         "--exponent", "0.4"),
+        ("spectrum", "--kind", "banach", "--alpha", "1", "--format", "csv"),
+        ("norm", "--monomial", "-j", "3", "--alpha", "1", "--format", "csv"),
+        ("scan", "-p", "2", "eigen", "-m", "1"),
+    ])
+    def test_option_not_read_exits_2(self, capsys, argv):
+        # each exited 0 and ignored the option (the last, an option before
+        # the target, was read)
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+
+    @pytest.mark.parametrize("argv, message", [
+        (("eigen", "--m-list", "1,1"), "--m-list"),
+        (("eigen", "--m-list", ""), "--m-list"),
+        (("eigen", "--m-list", "1,x"), "--m-list"),
+        (("counterexample", "--epsilon", "0.4", "--steps", "5,5"), "--steps"),
+        (("counterexample", "--epsilon", "0.4", "--steps", ""),
+         "no step indices"),
+        (("schauder", "-m", "1", "--basis-steps", "2,2,2"), "--basis-steps")])
+    def test_duplicate_or_empty_index_list_exits_2(self, capsys, argv,
+                                                   message):
+        code, out, err = run_cli(capsys, "scan", *argv, "--nmax", "128")
+        assert code == 2 and out == ""
+        assert message in err
+
+    @pytest.mark.parametrize("target, count", [
+        ("eigen", 9), ("counterexample", 9), ("gp", 7), ("inclusion", 6),
+        ("schauder", 11)])
+    def test_option_count_per_target(self, target, count):
+        parser = dict(_leaf_parsers())[("scan", target)]
+        assert len(_options(parser)) == count
+
+    @pytest.mark.parametrize("target", list(_GOOD_TARGET_ARGV))
+    def test_other_targets_options_exit_2(self, capsys, target):
+        leaves = dict(_leaf_parsers())
+        own = _options(leaves[("scan", target)])
+        foreign = {opt for name, parser in leaves.items()
+                   if name[0] == "scan" for opt in _options(parser)} - own
+        assert foreign
+        base = _GOOD_TARGET_ARGV[target]
+        assert run_cli(capsys, "scan", target, *base)[0] == 0
+        for opt in sorted(foreign):
+            code, out, _ = run_cli(capsys, "scan", target, *base, opt, "1")
+            assert code == 2 and out == "", opt
+
+    @pytest.mark.parametrize("command", [
+        ("norm",), ("spectrum",), ("selftest",),
+        *(("scan", target) for target in _GOOD_TARGET_ARGV)])
+    def test_drawn_argv_exit_codes(self, command, coeffs_path):
+        parser = dict(_leaf_parsers())[command]
+        _drawn_argv_property(command, parser, coeffs_path)

@@ -364,11 +364,25 @@ class TestCounterexample:
         with pytest.raises(InvalidEpsilon):
             counterexample_blowup(2.0, 1.0, 1.2, "frechet")
 
+    @pytest.mark.parametrize("kind", ["frechet", "lb"])
+    def test_epsilon_too_small_to_move_the_weight(self, kind):
+        # at alpha = 1 the home step of epsilon = 2^-54 is 2^54 + 1, whose
+        # weight 1 +/- 1/n rounds to 1: the scans would all be of A^2_1
+        with pytest.raises(InvalidEpsilon, match="moves no weight"):
+            counterexample_blowup(2.0, 1.0, 2.0 ** -54, kind, 128)
+        with pytest.raises(InvalidEpsilon, match="moves no weight"):
+            counterexample_blowup(2.0, 1.0, 1e-300, kind, 128)
+        # 2^-51: the home step 2^51 + 1 still moves the weight by an ulp
+        report = counterexample_blowup(2.0, 1.0, 2.0 ** -51, kind, 128)
+        assert report.home_step == 2 ** 51 + 1
+
     def test_step_validation(self):
         with pytest.raises(ValueError):
             counterexample_blowup(2.0, 1.0, 0.4, "frechet", steps=[2])
         with pytest.raises(ValueError):
             counterexample_blowup(2.0, 1.0, 0.4, "lb", steps=[3])
+        with pytest.raises(ValueError, match="no step indices"):
+            counterexample_blowup(2.0, 1.0, 0.4, "frechet", steps=[])
 
     def test_lb_home_step_is_first_admissible(self):
         # alpha = 0.3 admits LB steps n >= 4 only, above 1/epsilon = 2.5
