@@ -273,7 +273,7 @@ def _describe_record(desc) -> dict:
         "disk_center": desc.disk_center,
         "disk_radius": desc.disk_radius,
         "disk_boundary": desc.disk_boundary.value,
-        "includes_origin": desc.includes_origin,
+        "includes_origin": True,  # every spectrum holds 0; kept for schema 3
         "points": list(desc.points),
     }
 
@@ -456,12 +456,16 @@ def _cmd_selftest(args: argparse.Namespace) -> int:
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process on first use."""
-    parser = argparse.ArgumentParser(
+    # no option prefixes: --jm is not --jmax, --nmax not --nmax-steps
+    strict_parser = functools.partial(argparse.ArgumentParser,
+                                      allow_abbrev=False)
+    parser = strict_parser(
         prog="cesaro-bergman",
         description="Cesàro operator on weighted Bergman spaces: norms, "
                     "spectra, and divergence scans.")
     parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True,
+                                parser_class=strict_parser)
 
     def common(sp, *formats):
         sp.add_argument("--out", default=None, help="write output to this path")
@@ -521,7 +525,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_scan = sub.add_parser("scan", help="truncation-norm divergence scans")
     p_scan.set_defaults(func=_cmd_scan)
-    targets = p_scan.add_subparsers(dest="target", required=True)
+    targets = p_scan.add_subparsers(dest="target", required=True,
+                                    parser_class=strict_parser)
 
     indices = _checked(_parse_int_list, lambda v: len(set(v)) == len(v),
                        "distinct comma-separated integers")

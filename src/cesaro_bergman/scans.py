@@ -293,6 +293,9 @@ def counterexample_blowup(
     if home_alpha == alpha:
         raise InvalidEpsilon(f"epsilon={epsilon} moves no weight: at its home "
                              f"step n, alpha +/- 1/n rounds to alpha={alpha}")
+    if alpha in alphas:
+        raise ValueError(f"step {tested[alphas.index(alpha)]} moves no weight: "
+                         f"alpha +/- 1/n rounds to alpha={alpha}")
     source = binomial_series_coeffs(s, degrees[-1]).coeffs
     inverse = cesaro_inverse_apply(TaylorTruncation(source)).coeffs
     source_scan = _norm_scan(degrees, truncation_norms(

@@ -59,13 +59,12 @@ class BoundaryTooClose(ValueError):
 
 @dataclass(frozen=True)
 class SpectralDescription:
-    """Symbolic spectral set: isolated points {1/m}, a disk D_r with a
-    boundary flag, and an origin flag."""
+    """Symbolic spectral set: the origin, isolated points {1/m} and a disk
+    D_r with a boundary flag."""
 
     points: tuple[float, ...]
     disk_r: float
     disk_boundary: DiskBoundary
-    includes_origin: bool
 
     def __post_init__(self) -> None:
         if not (self.disk_r > 0.0):
@@ -97,9 +96,10 @@ def _disk_parameter(p: float, alpha: float) -> float:
 def _last_eigen_index(r: float, frechet: bool = False) -> int:
     """Largest m with 1/m an eigenvalue: m <= r on the Frechet space, m < r
     otherwise, with r within _INT_DETECT of an integer taken as it."""
-    if frechet:
-        return int(math.floor(r + _INT_DETECT))
-    return int(math.ceil(r - _INT_DETECT)) - 1
+    n = round(r)
+    if abs(r - n) <= _INT_DETECT:
+        return n if frechet else n - 1
+    return math.floor(r)
 
 
 def _eigen_points(r: float, frechet: bool = False) -> tuple[float, ...]:
@@ -123,7 +123,6 @@ def spectrum(spec: SpaceSpec) -> SpectralDescription:
         points=_eigen_points(r, frechet),
         disk_r=r,
         disk_boundary=DiskBoundary.OPEN if frechet else DiskBoundary.CLOSED,
-        includes_origin=True,
     )
 
 
@@ -150,14 +149,23 @@ def _disk_mask(desc: SpectralDescription, lams: np.ndarray) -> np.ndarray:
     return d < desc.disk_radius
 
 
+def _near_points(points, lams: np.ndarray, tol: float) -> np.ndarray:
+    """|lam - x| <= tol for some real point x, rounded as the per-point test
+    rounds it.  |lam - x| >= |Im lam|, and for |Im lam| <= tol it grows with
+    |Re lam - x|: the two neighbours of Re lam among the points decide."""
+    pts = np.sort(np.asarray(points, dtype=float))
+    near = np.zeros(lams.shape, dtype=bool)
+    cand = np.flatnonzero(np.abs(lams.imag) <= tol)
+    z = lams[cand, None]
+    k = np.clip(np.searchsorted(pts, z.real) + [-1, 0], 0, len(pts) - 1)
+    near[cand] = (np.abs(z - pts[k]) <= tol).any(axis=1)
+    return near
+
+
 def _member_mask(desc: SpectralDescription, lams: np.ndarray) -> np.ndarray:
     """Membership over an array."""
-    mask = _disk_mask(desc, lams)
-    if desc.includes_origin:
-        mask |= np.abs(lams) <= _POINT_TOL
-    for pt in desc.points:
-        mask |= np.abs(lams - pt) <= _POINT_TOL
-    return mask
+    return _disk_mask(desc, lams) | _near_points(
+        (0.0,) + desc.points, lams, _POINT_TOL)
 
 
 def _re_reciprocal(lams: np.ndarray) -> np.ndarray:
@@ -197,9 +205,8 @@ def _exclusion_mask(r_limit: float, radii: np.ndarray, lams: np.ndarray,
         center = radius = 0.5 / circles[np.clip(k + offset, 0, len(circles) - 1)]
         excl |= np.abs(np.abs(lams - center) - radius) <= band
     # isolated points of every involved description, limit and steps
-    max_r = circles[-1]
-    for m in range(1, int(math.floor(max_r + 1.0 + _INT_DETECT)) + 1):
-        excl |= np.abs(lams - 1.0 / m) <= band
+    m_top = math.floor(circles[-1] + 1.0 + _INT_DETECT)
+    excl |= _near_points(1.0 / np.arange(1, m_top + 1), lams, band)
     # unresolved crescent between the limit circle and the tightest step
     lo, hi = sorted((r_limit, radii[-1]))
     excl |= (re >= lo - band) & (re <= hi + band)
@@ -217,17 +224,14 @@ def _assembled_mask(kind: SpaceKind, radii: np.ndarray, lams: np.ndarray,
     of the largest r_n and the disk of the smallest.  The LB limsup, the
     intersection over m of the tail unions over m <= n <= n_max, is
     sigma_(n_max): that is the tail from m = n_max, and every other tail
-    contains it.  The cost is 2 + (number of eigenvalues) grid passes.
+    contains it.  The cost is a fixed number of grid passes at any r.
     """
     if kind is SpaceKind.FRECHET_INTERSECTION:
         r_points, r_disk = float(radii.max()), float(radii.min())
     else:
         r_points = r_disk = float(radii[-1])
-    mask = np.abs(lams) <= _POINT_TOL
-    for pt in _eigen_points(r_points):
-        mask |= np.abs(lams - pt) <= _POINT_TOL
-    mask |= re >= r_disk
-    return mask
+    return (re >= r_disk) | _near_points((0.0,) + _eigen_points(r_points),
+                                         lams, _POINT_TOL)
 
 
 @dataclass(frozen=True)

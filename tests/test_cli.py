@@ -834,6 +834,17 @@ class TestGrammar:
         code, out, _ = run_cli(capsys, *argv)
         assert code == 2 and out == ""
 
+    @pytest.mark.parametrize("argv", [
+        ("scan", "gp", "-m", "2", "--jm", "256", "--str"),
+        ("norm", "--family", "frechet", "--coeffs-file", None, "--alpha", "1",
+         "--nmax", "3")])
+    def test_option_prefix_exits_2(self, capsys, coeffs_path, argv):
+        # each ran as --jmax 256 --strict and --nmax-steps 3
+        argv = [coeffs_path if a is None else a for a in argv]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert "unrecognized arguments" in err
+
     @pytest.mark.parametrize("argv, message", [
         (("eigen", "--m-list", "1,1"), "--m-list"),
         (("eigen", "--m-list", ""), "--m-list"),

@@ -383,6 +383,10 @@ class TestCounterexample:
             counterexample_blowup(2.0, 1.0, 0.4, "lb", steps=[3])
         with pytest.raises(ValueError, match="no step indices"):
             counterexample_blowup(2.0, 1.0, 0.4, "frechet", steps=[])
+        # 1 + 1/10^20 rounds to 1: that scan would be of A^2_1 itself
+        with pytest.raises(ValueError, match="step 10+ moves no weight"):
+            counterexample_blowup(2.0, 1.0, 0.4, "frechet", 128,
+                                  steps=[3, 10 ** 20])
 
     def test_lb_home_step_is_first_admissible(self):
         # alpha = 0.3 admits LB steps n >= 4 only, above 1/epsilon = 2.5

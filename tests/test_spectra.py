@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from cesaro_bergman import spectra
@@ -13,6 +13,7 @@ from cesaro_bergman.spectra import (
     _disk_mask,
     _exclusion_mask,
     _member_mask,
+    _near_points,
     _re_reciprocal,
 )
 from cesaro_bergman.spectra import (
@@ -53,8 +54,7 @@ def oracle_banach_spectrum(p, alpha):
         raise ValueError("need p >= 1 and alpha >= 0")
     r = (2.0 + alpha) / p
     return SpectralDescription(points=_oracle_eigen_points(r), disk_r=r,
-                               disk_boundary=DiskBoundary.CLOSED,
-                               includes_origin=True)
+                               disk_boundary=DiskBoundary.CLOSED)
 
 
 def oracle_frechet_spectrum(p, alpha):
@@ -66,7 +66,7 @@ def oracle_frechet_spectrum(p, alpha):
     m0 = _oracle_boundary_integer(r)
     return SpectralDescription(
         points=_oracle_eigen_points(r) + ((1.0 / m0,) if m0 is not None else ()),
-        disk_r=r, disk_boundary=DiskBoundary.OPEN, includes_origin=True)
+        disk_r=r, disk_boundary=DiskBoundary.OPEN)
 
 
 def oracle_lb_spectrum(p, alpha):
@@ -74,8 +74,7 @@ def oracle_lb_spectrum(p, alpha):
         raise ValueError("need p > 1 and alpha > 0")
     r = (2.0 + alpha) / p
     return SpectralDescription(points=_oracle_eigen_points(r), disk_r=r,
-                               disk_boundary=DiskBoundary.CLOSED,
-                               includes_origin=True)
+                               disk_boundary=DiskBoundary.CLOSED)
 
 
 ORACLE_BUILDERS = {SpaceKind.BANACH: oracle_banach_spectrum,
@@ -103,7 +102,7 @@ def oracle_disk_reciprocal(desc, lam):
 
 
 def oracle_membership(desc, lam, tol=1e-12):
-    if desc.includes_origin and abs(lam) <= tol:
+    if abs(lam) <= tol:
         return Membership.IN
     if any(abs(lam - pt) <= tol for pt in desc.points):
         return Membership.IN
@@ -129,6 +128,8 @@ class TestSpectrumOracle:
            p=st.floats(1.0, 8.0),
            alpha=st.floats(0.0, 12.0) | st.integers(0, 12).map(float),
            integral_r=st.booleans())
+    # r - 2 = 1.00000008e-9 lies just past _INT_DETECT: 1/2 is an eigenvalue
+    @example(kind=SpaceKind.BANACH, p=1.0, alpha=1e-9, integral_r=False)
     def test_matches_old_builders(self, kind, p, alpha, integral_r):
         if integral_r:  # pick p so that r = (2 + alpha)/p is an integer
             m = max(1, round((2.0 + alpha) / p))
@@ -243,7 +244,6 @@ class TestBanachSpectrum:
         assert desc.points == (1.0,)
         assert desc.disk_center == 0.25 and desc.disk_radius == 0.25
         assert desc.disk_boundary is DiskBoundary.CLOSED
-        assert desc.includes_origin
 
     def test_membership_arithmetic(self):
         desc = spectrum(SpaceSpec(2.0, 2.0))
@@ -306,8 +306,7 @@ class TestWaelbroeck:
         assert closed.membership(1.0) is Membership.IN
         # matches the closure assembled directly
         direct = SpectralDescription(
-            points=(1.0,), disk_r=2.0, disk_boundary=DiskBoundary.CLOSED,
-            includes_origin=True)
+            points=(1.0,), disk_r=2.0, disk_boundary=DiskBoundary.CLOSED)
         assert closed == direct
 
     def test_idempotent(self):
@@ -329,6 +328,49 @@ class TestWaelbroeck:
         assert waelbroeck(spectrum(SpaceSpec(p, alpha, FRECHET))) == banach
         assert waelbroeck(spectrum(SpaceSpec(p, alpha, LB))) == banach
         assert waelbroeck(banach) == banach
+
+
+def oracle_near_points(points, lams, tol):
+    # the per-point loop _near_points replaced
+    near = np.zeros(lams.shape, dtype=bool)
+    for pt in points:
+        near |= np.abs(lams - pt) <= tol
+    return near
+
+
+class TestNearPoints:
+    @settings(max_examples=150, deadline=None)
+    @given(m_max=st.integers(1, 20_000), origin=st.booleans(), data=st.data())
+    def test_matches_per_point_loop(self, m_max, origin, data):
+        points = ((0.0,) if origin else ()) + tuple(
+            1.0 / m for m in range(1, m_max + 1))
+        gap = 1.0 / m_max - 1.0 / (m_max + 1)
+        tol = data.draw(st.sampled_from([0.0, 1e-12, 1e-9, gap, 0.3, 5.0]))
+        # at and within 1e-13 of the points, and at distance tol from them
+        at = st.one_of(st.integers(1, m_max + 1).map(lambda m: 1.0 / m),
+                       st.sampled_from([0.0, 5e-324, -5e-324, 1e-310]),
+                       st.floats(-1.0, 2.0))
+        offset = st.one_of(
+            st.sampled_from([0, 1e-13, -1e-13, tol, -tol, 1j * tol,
+                             (0.6 + 0.8j) * tol]),
+            st.builds(complex, st.floats(-1e-13, 1e-13),
+                      st.floats(-1e-13, 1e-13)))
+        probes = data.draw(st.lists(st.builds(lambda x, dz: complex(x) + dz,
+                                              at, offset), max_size=40))
+        lams = np.array(probes + [complex(-0.0, 0.0), complex(0.0, -0.0),
+                                  complex(-0.0, -0.0), complex(5e-324, -5e-324)])
+        assert np.array_equal(_near_points(points, lams, tol),
+                              oracle_near_points(points, lams, tol))
+
+    def test_gap_near_largest_disk_parameter(self):
+        # neighbouring eigenvalues near 1/_R_MAX, probed at the point gap
+        m = np.arange(999_990, 1_000_001)
+        points = 1.0 / m
+        tol = points[-2] - points[-1]
+        lams = np.concatenate([points + d for d in (0.0, tol, -tol, tol / 2,
+                                                    1j * tol, 2.5 * tol)])
+        assert np.array_equal(_near_points(points, lams, tol),
+                              oracle_near_points(points, lams, tol))
 
 
 class TestPredicates:
@@ -595,4 +637,4 @@ class TestCrosscheckInputs:
 class TestDescriptionValidation:
     def test_positive_disk_parameter_required(self):
         with pytest.raises(ValueError):
-            SpectralDescription((), 0.0, DiskBoundary.CLOSED, True)
+            SpectralDescription((), 0.0, DiskBoundary.CLOSED)
