@@ -45,12 +45,10 @@ from .series import (
     recover_from_cesaro,
 )
 from .spectra import (
-    BoundaryTooClose,
     CrosscheckReport,
     DiskBoundary,
     Membership,
     SpectralDescription,
-    filtered_grid,
     spectrum,
     step_union_crosscheck,
     waelbroeck,

@@ -27,12 +27,10 @@ __all__ = [
     "Membership",
     "DiskBoundary",
     "SpectralDescription",
-    "BoundaryTooClose",
     "CrosscheckReport",
     "spectrum",
     "waelbroeck",
     "step_union_crosscheck",
-    "filtered_grid",
 ]
 
 _INT_DETECT = 1e-9  # treat (2+alpha)/p within this of an integer as integral
@@ -50,11 +48,6 @@ class Membership(enum.Enum):
 class DiskBoundary(enum.Enum):
     OPEN = "open"
     CLOSED = "closed"
-
-
-class BoundaryTooClose(ValueError):
-    """A query grid enters the exclusion band around a boundary circle,
-    an isolated point, or the region a finite step union cannot resolve."""
 
 
 @dataclass(frozen=True)
@@ -253,11 +246,14 @@ def step_union_crosscheck(
     p: float,
     alpha: float,
     n_max: int,
-    sample_grid: np.ndarray,
+    re_range: tuple[float, float] = (-1.0, 2.0),
+    im_range: tuple[float, float] = (-1.0, 1.0),
+    nx: int = 100,
+    ny: int = 100,
     band: float = 1e-9,
 ) -> CrosscheckReport:
     """Compare the limit-space spectrum against the assembly of Banach step
-    spectra on a grid of sample values.
+    spectra on an nx-by-ny lattice over re_range x im_range.
 
     Frechet: membership in {0} union of sigma(steps alpha + 1/n), n <= n_max.
     LB: the nested intersection over m of the tail unions of sigma(steps
@@ -267,51 +263,25 @@ def step_union_crosscheck(
     of grid passes plus an O(n_max) array of step radii.  The two sides use
     independent closed forms and independent predicates: the limit side
     judges its disk by the distance |lam - center| <= radius, the step
-    assembly by Re(1/lam) >= r.  Raises :class:`BoundaryTooClose` if the
-    grid enters the exclusion band (see :func:`filtered_grid` to build a
-    safe grid), and ValueError if there is no sample point to check, no
-    step (the Banach kind, or none admissible), or r = (2+alpha)/p is too
-    large (see _R_MAX).
+    assembly by Re(1/lam) >= r.  Lattice points within band of a boundary
+    circle or an isolated point, or in the crescent only an infinite union
+    resolves, are dropped first (see _exclusion_mask).  Raises ValueError
+    if no point is left to check, if there is no step (the Banach kind, or
+    none admissible), or if r = (2+alpha)/p is too large (see _R_MAX).
     """
-    lams = np.asarray(sample_grid, dtype=complex).ravel()
+    spec = SpaceSpec(p, alpha, SpaceKind(kind))
+    radii = (2.0 + spec.step_alphas(spec.steps(n_max))) / p
+    lams = (np.linspace(re_range[0], re_range[1], nx)[:, None]
+            + 1j * np.linspace(im_range[0], im_range[1], ny)[None, :]).ravel()
+    re = _re_reciprocal(lams)
+    keep = ~_exclusion_mask(_disk_parameter(p, alpha), radii, lams, re, band)
+    lams, re = lams[keep], re[keep]
     if lams.size == 0:
         raise ValueError("no sample points to check: every grid point was "
                          "excluded or the grid is empty")
-    spec = SpaceSpec(p, alpha, SpaceKind(kind))
-    radii = (2.0 + spec.step_alphas(spec.steps(n_max))) / p
-    re = _re_reciprocal(lams)
-    bad = _exclusion_mask(_disk_parameter(p, alpha), radii, lams, re, band)
-    if np.any(bad):
-        offender = lams[bad][0]
-        raise BoundaryTooClose(
-            f"{int(bad.sum())} grid point(s) inside the exclusion band, "
-            f"first offender {offender}")
     assembled = _assembled_mask(spec.kind, radii, lams, re)
     limit_mask = _member_mask(spectrum(spec), lams)
     diff = limit_mask != assembled
     return CrosscheckReport(
         kind=spec.kind, p=p, alpha=alpha, n_max=n_max, n_checked=len(lams),
         disagreements=tuple(lams[diff]))
-
-
-def filtered_grid(
-    kind: SpaceKind | str,
-    p: float,
-    alpha: float,
-    n_max: int,
-    re_range: tuple[float, float] = (-1.0, 2.0),
-    im_range: tuple[float, float] = (-1.0, 1.0),
-    nx: int = 100,
-    ny: int = 100,
-    band: float = 1e-9,
-) -> np.ndarray:
-    """Rectangular lattice of sample values with the exclusion band applied,
-    ready for :func:`step_union_crosscheck`."""
-    spec = SpaceSpec(p, alpha, SpaceKind(kind))
-    radii = (2.0 + spec.step_alphas(spec.steps(n_max))) / p
-    re = np.linspace(re_range[0], re_range[1], nx)
-    im = np.linspace(im_range[0], im_range[1], ny)
-    lams = (re[:, None] + 1j * im[None, :]).ravel()
-    bad = _exclusion_mask(_disk_parameter(p, alpha), radii, lams,
-                          _re_reciprocal(lams), band)
-    return lams[~bad]

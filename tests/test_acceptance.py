@@ -35,7 +35,6 @@ from cesaro_bergman.series import (
     recover_from_cesaro,
 )
 from cesaro_bergman.spectra import (
-    filtered_grid,
     spectrum,
     step_union_crosscheck,
     waelbroeck,
@@ -226,8 +225,8 @@ def test_criterion_8_non_nuclearity():
 def test_criterion_9_spectral_crosscheck():
     results = {}
     for kind in ("frechet", "lb"):
-        grid = filtered_grid(kind, 2.0, 2.0, 100, nx=100, ny=100, band=1e-9)
-        rep = step_union_crosscheck(kind, 2.0, 2.0, 100, grid, band=1e-9)
+        rep = step_union_crosscheck(kind, 2.0, 2.0, 100, nx=100, ny=100,
+                                    band=1e-9)
         results[kind] = (rep.n_checked, len(rep.disagreements))
     grids_ok = all(bad == 0 for _, bad in results.values())
     waelbroeck_ok = True

@@ -71,7 +71,14 @@ class TestNormCommand:
         code, _, err = run_cli(capsys, "norm", "--parseval",
                                "--coeffs-file", str(path),
                                "-p", "3", "--alpha", "1")
-        assert code == 2 and "p = 2" in err
+        assert code == 2 and err.startswith("invalid request:")
+        assert "p = 2" in err
+
+    def test_monomial_requires_index(self, capsys):
+        code, out, err = run_cli(capsys, "norm", "--monomial", "-p", "2",
+                                 "--alpha", "1")
+        assert code == 2 and out == ""
+        assert err == "invalid request: norm --monomial requires -j/--index\n"
 
     @pytest.mark.parametrize("p, alpha", [("nan", "1"), ("inf", "1"),
                                           ("2", "nan"), ("2", "inf")])
@@ -532,26 +539,46 @@ class TestScanCommand:
 
     def test_eigen_batch_with_jobs(self, capsys):
         code, out, _ = run_cli(capsys, "scan", "eigen", "--m-list", "1,3",
-                               "-p", "2", "--alpha", "2", "--nmax", "2048",
-                               "--jobs", "2")
+                               "-p", "2", "--alpha", "2", "--nmax", "2048")
         assert code == 0
         record = json.loads(out)
         kinds = {r["m"]: r["classification"]["kind"] for r in record["results"]}
         assert kinds[1] == "converged"
         assert kinds[3] == "power_divergent"
-        code, serial, _ = run_cli(capsys, "scan", "eigen", "--m-list", "1,3",
-                                  "-p", "2", "--alpha", "2", "--nmax", "2048",
-                                  "--jobs", "1")
-        assert code == 0 and serial == out
+        serial = [cli._scan_record(scans.eigen_membership_scan(m, 2.0, 2.0,
+                                                               2048))
+                  for m in (1, 3)]
+        got = [{k: r[k] for k in ("degrees", "values", "classification")}
+               for r in record["results"]]
+        assert got == json.loads(cli.dumps_json(serial))
 
-    @pytest.mark.parametrize("jobs", ["0", "-3"])
-    def test_eigen_jobs_below_one_exits_2(self, capsys, monkeypatch, jobs):
-        # refused before any scan runs; it used to run serially and exit 0
-        monkeypatch.setattr(cli, "eigen_membership_scan", None)
-        code, out, err = run_cli(capsys, "scan", "eigen", "--m-list", "1,2",
-                                 "-p", "2", "--alpha", "1", "--nmax", "128",
-                                 "--jobs", jobs)
-        assert code == 2 and out == "" and "--jobs" in err
+    @pytest.mark.parametrize("m_list, cpus, workers", [
+        ("1,2,3", 2, 2), ("1,2", 64, 2), ("1,2,3", 1, 1)])
+    def test_eigen_workers_bounded_by_cpus(self, capsys, monkeypatch, m_list,
+                                           cpus, workers):
+        # the worker count is min(#m, #CPUs); the fake pool starts no thread
+        import concurrent.futures
+
+        seen = []
+
+        class FakePool:
+            def __init__(self, max_workers):
+                seen.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            map = staticmethod(map)
+
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", FakePool)
+        monkeypatch.setattr(cli.os, "sched_getaffinity",
+                            lambda pid: set(range(cpus)))
+        code, _, _ = run_cli(capsys, "scan", "eigen", "--m-list", m_list,
+                             "-p", "2", "--alpha", "1", "--nmax", "128")
+        assert code == 0 and seen == [workers]
 
     def test_four_degree_scan_fits_three_points(self, capsys):
         # a four-degree scan has 3 increments, all of them fitted: a
@@ -587,7 +614,8 @@ class TestScanCommand:
     def test_missing_coeffs_file(self, capsys):
         code, _, err = run_cli(capsys, "norm", "--quadrature",
                                "-p", "2", "--alpha", "1")
-        assert code == 2 and "coeffs-file" in err
+        assert code == 2 and err.startswith("invalid request:")
+        assert "coeffs-file" in err
 
 
 class TestExitCodes:
@@ -748,7 +776,6 @@ _VALUES = {dest: st.sampled_from(values) for dest, values in {
     "band": ["1e-9", "0", "-1"],
     "nmax": ["256", "128", "65", "8"],
     "jmax": ["256", "128", "64", "8"],
-    "jobs": ["1", "2", "0"],
     "epsilon": ["0.4", "0.1", "0.25", "1e-300"],
     "mu": ["1", "0.5", "nan"],
     "gamma": ["2", "3", "1"],
@@ -827,10 +854,15 @@ class TestGrammar:
         ("spectrum", "--kind", "banach", "--alpha", "1", "--format", "csv"),
         ("norm", "--monomial", "-j", "3", "--alpha", "1", "--format", "csv"),
         ("scan", "-p", "2", "eigen", "-m", "1"),
+        ("spectrum", "--kind", "frechet", "--alpha", "2", "--crosscheck",
+         "--grid", "5x5", "--nmax", "10", "--lambda", "0.5"),
+        ("spectrum", "--kind", "frechet", "--alpha", "2", "--crosscheck",
+         "--grid", "5x5", "--nmax", "10", "--waelbroeck"),
+        ("scan", "eigen", "--m-list", "1,2", "--nmax", "128", "--jobs", "2"),
     ])
     def test_option_not_read_exits_2(self, capsys, argv):
-        # each exited 0 and ignored the option (the last, an option before
-        # the target, was read)
+        # each exited 0 and ignored the option (scan -p before the target
+        # was read, and --jobs set a thread count the code now derives)
         code, out, _ = run_cli(capsys, *argv)
         assert code == 2 and out == ""
 
@@ -860,7 +892,7 @@ class TestGrammar:
         assert message in err
 
     @pytest.mark.parametrize("target, count", [
-        ("eigen", 9), ("counterexample", 9), ("gp", 7), ("inclusion", 6),
+        ("eigen", 8), ("counterexample", 9), ("gp", 7), ("inclusion", 6),
         ("schauder", 11)])
     def test_option_count_per_target(self, target, count):
         parser = dict(_leaf_parsers())[("scan", target)]

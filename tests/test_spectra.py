@@ -17,11 +17,9 @@ from cesaro_bergman.spectra import (
     _re_reciprocal,
 )
 from cesaro_bergman.spectra import (
-    BoundaryTooClose,
     DiskBoundary,
     Membership,
     SpectralDescription,
-    filtered_grid,
     spectrum,
     step_union_crosscheck,
     waelbroeck,
@@ -463,31 +461,34 @@ class TestReReciprocal:
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("kind", ["frechet", "lb"])
     def test_subnormal_grid_is_excluded_silently(self, kind):
-        grid = filtered_grid(kind, 2.0, 2.0, 5, re_range=(1e-320, 2e-320),
-                             im_range=(1e-320, 2e-320), nx=3, ny=3)
-        assert grid.size == 0
+        with pytest.raises(ValueError, match="no sample points"):
+            step_union_crosscheck(kind, 2.0, 2.0, 5, re_range=(1e-320, 2e-320),
+                                  im_range=(1e-320, 2e-320), nx=3, ny=3)
+
+
+# a 1x1 lattice at 5, outside every disk and away from every point
+AT_5 = dict(re_range=(5.0, 5.0), im_range=(0.0, 0.0), nx=1, ny=1)
 
 
 class TestCrosscheck:
     def test_trivial_outside_point(self):
-        report = step_union_crosscheck("frechet", 2.0, 2.0, 10,
-                                       np.array([5.0 + 0j]))
+        report = step_union_crosscheck("frechet", 2.0, 2.0, 10, **AT_5)
         assert report.ok and report.n_checked == 1
 
     def test_sandwich_point_rejected(self):
-        with pytest.raises(BoundaryTooClose):
-            step_union_crosscheck("frechet", 2.0, 2.0, 10, np.array([0.5 + 0j]))
+        # 1/2 lies on the limit circle and is an eigenvalue of every step
+        with pytest.raises(ValueError, match="no sample points"):
+            step_union_crosscheck("frechet", 2.0, 2.0, 10, re_range=(0.5, 0.5),
+                                  im_range=(0.0, 0.0), nx=1, ny=1)
 
     def test_small_grids_agree(self):
         for kind in ("frechet", "lb"):
-            grid = filtered_grid(kind, 2.0, 2.0, 40, nx=40, ny=40)
-            assert len(grid) > 1000
-            report = step_union_crosscheck(kind, 2.0, 2.0, 40, grid)
+            report = step_union_crosscheck(kind, 2.0, 2.0, 40, nx=40, ny=40)
+            assert report.n_checked > 1000
             assert report.ok, report.disagreements[:5]
 
     def test_non_integer_threshold_grid(self):
-        grid = filtered_grid("lb", 1.5, 0.7, 30, nx=25, ny=25)
-        report = step_union_crosscheck("lb", 1.5, 0.7, 30, grid)
+        report = step_union_crosscheck("lb", 1.5, 0.7, 30, nx=25, ny=25)
         assert report.ok
 
     @pytest.mark.parametrize("kind", ["frechet", "lb"])
@@ -497,9 +498,9 @@ class TestCrosscheck:
         monkeypatch.setattr(spectra, "spectrum", lambda spec: real(
             SpaceSpec(spec.p, spec.alpha + 0.05, spec.kind)))
         # near 1/r = 0.5, where the two disks' right ends lie 0.006 apart
-        grid = filtered_grid(kind, 2.0, 2.0, 100, re_range=(0.45, 0.52),
-                             im_range=(-0.05, 0.05), nx=40, ny=40)
-        report = step_union_crosscheck(kind, 2.0, 2.0, 100, grid)
+        report = step_union_crosscheck(kind, 2.0, 2.0, 100,
+                                       re_range=(0.45, 0.52),
+                                       im_range=(-0.05, 0.05), nx=40, ny=40)
         assert not report.ok and len(report.disagreements) > 10
 
 
@@ -516,16 +517,14 @@ class TestUnresolvableDiskParameter:
     @pytest.mark.parametrize("kind", ["frechet", "lb"])
     def test_crosscheck_refuses_before_any_point_loop(self, kind):
         with pytest.raises(ValueError, match="disk parameter"):
-            filtered_grid(kind, 2.0, 1e300, 5, nx=10, ny=10)
-        with pytest.raises(ValueError, match="disk parameter"):
-            step_union_crosscheck(kind, 2.0, 1e300, 5, np.array([5.0 + 0j]))
+            step_union_crosscheck(kind, 2.0, 1e300, 5, nx=10, ny=10)
 
     def test_large_resolvable_disk_parameter(self):
         desc = spectrum(SpaceSpec(2.0, 1000.0))  # r = 501
         assert len(desc.points) == 500
         assert len(spectrum(SpaceSpec(2.0, 1000.0, FRECHET)).points) == 501
-        grid = filtered_grid("frechet", 2.0, 1000.0, 5, nx=10, ny=10)
-        assert step_union_crosscheck("frechet", 2.0, 1000.0, 5, grid).ok
+        assert step_union_crosscheck("frechet", 2.0, 1000.0, 5, nx=10,
+                                     ny=10).ok
 
 
 class TestStreamedAssemblyOracle:
@@ -596,42 +595,51 @@ class TestStreamedAssemblyOracle:
            im0=st.floats(-2.0, 1.0), im_span=st.floats(0.01, 3.0),
            nx=st.integers(1, 25), ny=st.integers(1, 25),
            band=st.sampled_from([1e-9, 1e-6, 1e-3]))
+    # a 1x1 lattice at the origin, which every circle passes through
+    @example(kind="frechet", p=2.0, alpha=2.0, n_max=10, re0=0.0,
+             re_span=1.0, im0=0.0, im_span=1.0, nx=1, ny=1, band=1e-9)
     def test_random_rects(self, kind, p, alpha, n_max, re0, re_span, im0,
                           im_span, nx, ny, band):
-        lams = _lattice((re0, re0 + re_span, im0, im0 + im_span), nx, ny)
+        rect = dict(re_range=(re0, re0 + re_span),
+                    im_range=(im0, im0 + im_span), nx=nx, ny=ny, band=band)
         if not _oracle_step_alphas(SpaceKind(kind), alpha, n_max):
             with pytest.raises(ValueError, match="no admissible steps"):
-                filtered_grid(kind, p, alpha, n_max, nx=nx, ny=ny, band=band)
+                step_union_crosscheck(kind, p, alpha, n_max, **rect)
             return
+        lams = _lattice((re0, re0 + re_span, im0, im0 + im_span), nx, ny)
         assert_matches_oracle(kind, p, alpha, n_max, lams, band)
+        # the one-call cross-check keeps exactly the points the oracle keeps
+        n_kept = np.count_nonzero(~oracle_exclusion_mask(
+            SpaceKind(kind), p, alpha, n_max, lams, band))
+        if n_kept == 0:
+            with pytest.raises(ValueError, match="no sample points"):
+                step_union_crosscheck(kind, p, alpha, n_max, **rect)
+            return
+        report = step_union_crosscheck(kind, p, alpha, n_max, **rect)
+        assert report.n_checked == n_kept and report.ok
 
 
 class TestCrosscheckInputs:
     @pytest.mark.parametrize("kind", ["frechet", "lb"])
     def test_no_steps_raises_value_error(self, kind):
         with pytest.raises(ValueError, match="no admissible steps"):
-            step_union_crosscheck(kind, 2.0, 2.0, 0, np.array([5.0 + 0j]))
-        with pytest.raises(ValueError, match="no admissible steps"):
-            filtered_grid(kind, 2.0, 2.0, 0, nx=5, ny=5)
+            step_union_crosscheck(kind, 2.0, 2.0, 0, nx=5, ny=5)
 
     def test_lb_below_first_admissible_step(self):
         # alpha = 0.3 admits steps n >= 4 only
         with pytest.raises(ValueError, match="no admissible steps"):
-            step_union_crosscheck("lb", 2.0, 0.3, 3, np.array([5.0 + 0j]))
+            step_union_crosscheck("lb", 2.0, 0.3, 3, **AT_5)
 
     @pytest.mark.parametrize("kind", ["frechet", "lb"])
     def test_empty_grid_raises_value_error(self, kind):
         with pytest.raises(ValueError, match="no sample points"):
-            step_union_crosscheck(kind, 2.0, 2.0, 10, np.array([], dtype=complex))
+            step_union_crosscheck(kind, 2.0, 2.0, 10, nx=0, ny=10)
 
     def test_fully_excluded_grid_raises_value_error(self):
         # the origin lies on every circle, so a 1x1 lattice at 0 is empty
-        grid = filtered_grid("frechet", 2.0, 2.0, 10, re_range=(0.0, 0.0),
-                             im_range=(0.0, 0.0), nx=1, ny=1)
-        assert grid.size == 0
-        with pytest.raises(ValueError, match="no sample points") as info:
-            step_union_crosscheck("frechet", 2.0, 2.0, 10, grid)
-        assert not isinstance(info.value, BoundaryTooClose)
+        with pytest.raises(ValueError, match="no sample points"):
+            step_union_crosscheck("frechet", 2.0, 2.0, 10, re_range=(0.0, 0.0),
+                                  im_range=(0.0, 0.0), nx=1, ny=1)
 
 
 class TestDescriptionValidation:
