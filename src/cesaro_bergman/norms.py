@@ -38,8 +38,7 @@ from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
-import scipy.fft as _fft
-from scipy.special import betaln, gammaln
+from numpy import fft as _fft
 
 from .series import TaylorTruncation
 
@@ -92,12 +91,15 @@ def log_beta(a, b):
     expanded as (h-1/2) log1p(l/h) + l log(h+l) - l plus Stirling tails,
     which stays at the scale of the result.
     """
+    from scipy.special import betaln, gammaln
+
     a_arr = np.asarray(a, dtype=float)
     b_arr = np.asarray(b, dtype=float)
     if b_arr.ndim == 0 and a_arr.size and b_arr <= a_arr.min():
         # a scalar b at or below every a, so gammaln(b) is needed once.  The
         # callers pass b = alpha + 1 and a = jp + 2; at b above the smallest
-        # a (alpha > 1 for parseval_weights, whose j starts at 0) they do not
+        # a (alpha > 1 for parseval_weights from j = 0) they do not.  Both
+        # branches give each entry the same bits
         shape = a_arr.shape
         lo = b_arr[()]
         hi = np.atleast_1d(a_arr)
@@ -156,6 +158,8 @@ def monomial_norm(j, p: float, alpha: float):
 
 def monomial_norm_asymptote(p: float, alpha: float) -> float:
     """Limit of ||z^j||^p j^(alpha+1) as j grows: 2 Gamma(alpha+1) / p^(alpha+1)."""
+    from scipy.special import gammaln
+
     return 2.0 * math.exp(gammaln(alpha + 1.0)) / p ** (alpha + 1.0)
 
 
@@ -166,13 +170,15 @@ _PARSEVAL_BLOCK = 256
 _TINY = 2.2250738585072014e-308  # smallest normal double
 
 
-def parseval_weights(alpha: float, degree: int) -> np.ndarray:
-    """Vector of squared monomial norms 2 B(2j+2, alpha+1) for j = 0..degree.
+def parseval_weights(alpha: float, degree: int, start: int = 0) -> np.ndarray:
+    """Vector of squared monomial norms 2 B(2j+2, alpha+1) for j = start..degree.
 
     With a = 2j and b = alpha+1 the step ratio is w_j / w_{j-1} =
     a(a+1) / ((a+b)(a+1+b)).  The first weight of every block of
     _PARSEVAL_BLOCK indices is 2 exp(log_beta(2j+2, b)); the rest of the
-    block is its cumulative product with the ratios.  Measured against
+    block is its cumulative product with the ratios.  start must be a
+    multiple of _PARSEVAL_BLOCK, so that the blocks, and with them every
+    weight, are the same bits as in the vector from 0.  Measured against
     mpmath at indices up to 2^20, block edges included, the relative error
     is at most 7.5e-15 at alpha = 0.5, 1.9e-14 at 7.5 and 2.4e-13 at 40
     (there from the exp of a log near -500), within 1e-15 (1 + |log w_j|)
@@ -181,10 +187,14 @@ def parseval_weights(alpha: float, degree: int) -> np.ndarray:
     """
     if not math.isfinite(alpha):
         raise ValueError(f"alpha must be finite, got alpha={alpha}")
+    if start < 0 or start % _PARSEVAL_BLOCK:
+        raise ValueError(f"start must be a nonnegative multiple of "
+                         f"{_PARSEVAL_BLOCK}, got {start}")
     b = alpha + 1.0
-    rows = -(-(degree + 1) // _PARSEVAL_BLOCK)
-    a = np.arange(0.0, 2.0 * rows * _PARSEVAL_BLOCK, 2.0).reshape(
-        rows, _PARSEVAL_BLOCK)
+    first = start // _PARSEVAL_BLOCK
+    rows = max(0, -(-(degree + 1) // _PARSEVAL_BLOCK) - first)
+    a = np.arange(2.0 * start, 2.0 * (start + rows * _PARSEVAL_BLOCK),
+                  2.0).reshape(rows, _PARSEVAL_BLOCK)
     w = a + 1.0
     w *= a
     den = a + b
@@ -192,13 +202,13 @@ def parseval_weights(alpha: float, degree: int) -> np.ndarray:
     den *= a
     w /= den
     w[:, 0] = 2.0 * np.exp(log_beta(
-        2.0 * _PARSEVAL_BLOCK * np.arange(rows) + 2.0, b))
+        2.0 * _PARSEVAL_BLOCK * np.arange(first, first + rows) + 2.0, b))
     np.multiply.accumulate(w, axis=1, out=w)
     if rows and w[-1, -1] < _TINY:
         # the weights decrease in j; below the normal range the product has
         # too few bits to reach 0 and would stick at the least subnormal
         w[w < _TINY] = 0.0
-    return w.ravel()[: degree + 1]
+    return w.ravel()[: degree + 1 - start]
 
 
 def _check_finite_coeffs(coeffs: np.ndarray) -> None:
@@ -306,10 +316,10 @@ _ANGULAR_FACTOR = 4.0
 _GRADE_ELEMENTS = 1 << 16  # terms per grading chunk: one for degree <= 8
 # angular points per FFT block: one rfft output holds 4 MB.  The top pass of
 # an eigen-quad scan (N = 2^13, p = 3, m = 2, 726 nodes; one CPU, warm rule)
-# peaks at 10.3 MB traced, against 16.5 MB at 1 << 20 and 1 << 22 and 5.9 MB
-# at 1 << 18; with the half-grid refinement it takes 40 to 60 ms at each of
+# peaks at 8.3 MB traced, against 14.3 MB at 1 << 20 and 1 << 22 and 4.9 MB
+# at 1 << 18; with the half-grid refinement it takes 50 to 80 ms at each of
 # these sizes, within the run-to-run spread.  The eigen-quad worker peaks
-# near 80-83 MB RSS.
+# near 73-74 MB RSS.
 _BATCH_ELEMENTS = 1 << 19
 
 

@@ -152,23 +152,61 @@ def classify_growth(degrees, values, power: float = 1.0) -> GrowthClass:
 # norm evaluation over truncation degrees
 # ---------------------------------------------------------------------------
 
+# terms per block of the p = 2 running sums, a multiple of the Parseval
+# anchor block: a block's temporaries stay in cache, where whole-array
+# passes at 2^20 terms stream 8-16 MB each through memory
+_SUM_BLOCK = 1 << 14
+
+
+def _running_sums(terms, n: int, picks) -> tuple[np.ndarray, float]:
+    """The partial sums t_0 + ... + t_d at the indices d in picks, and the
+    total, of the n terms that terms(lo, hi) gives as a fresh array of
+    t_lo..t_(hi-1), lo a multiple of _SUM_BLOCK.
+
+    np.cumsum adds in sequence, and each block adds the carried sum to its
+    first term, so the sums are those of one cumsum over all n terms bit for
+    bit.  Every pick must lie in 0..n-1.
+    """
+    picks = np.asarray(picks, dtype=int)
+    out = np.empty(picks.shape)
+    total = 0.0
+    for lo in range(0, n, _SUM_BLOCK):
+        cum = terms(lo, min(lo + _SUM_BLOCK, n))
+        cum[0] += total
+        np.cumsum(cum, out=cum)
+        inside = (picks >= lo) & (picks < lo + len(cum))
+        out[inside] = cum[picks[inside] - lo]
+        total = cum[-1]
+    return out, float(total)
+
+
 def truncation_norms(coeffs: np.ndarray, p: float, alpha: float, degrees,
                      tails: bool = False,
                      rel_tol: float = _SCAN_QUAD_TOL) -> np.ndarray:
     """A^p_alpha norms of the truncations of coeffs at the given degrees, or
     with tails=True the norms of what each truncation leaves out.
 
-    The one place that picks the method: Parseval sums over the weights of
-    degree len(coeffs) - 1 at p = 2, adaptive quadrature at rel_tol
-    otherwise.  A quadrature that does not converge, or a part with a
+    The one place that picks the method: Parseval sums at p = 2, adaptive
+    quadrature at rel_tol otherwise.  The Parseval sums run in blocks of
+    _SUM_BLOCK terms |c_j|^2 w_j, each with its own weights from
+    parseval_weights (see _running_sums); a tail is the total less the
+    partial sum.  A quadrature that does not converge, or a part with a
     coefficient that overflowed to inf, gives nan; at p = 2 a square that
     overflows gives inf (a tail of inf - inf gives nan), without a warning.
+    A degree outside 0..len(coeffs)-1 raises IndexError.
     """
+    if len(degrees) and not 0 <= min(degrees) <= max(degrees) < len(coeffs):
+        raise IndexError(f"degrees must lie in 0..{len(coeffs) - 1}, got "
+                         f"{list(degrees)}")
     if p == 2.0:
-        w = parseval_weights(alpha, len(coeffs) - 1)
+        def terms(lo, hi):
+            return np.abs(coeffs[lo:hi]) ** 2 * parseval_weights(
+                alpha, hi - 1, start=lo)
+
         with np.errstate(over="ignore", invalid="ignore"):
-            cum = np.cumsum(np.abs(coeffs) ** 2 * w)
-            part = cum[-1] - cum[degrees] if tails else cum[degrees]
+            part, total = _running_sums(terms, len(coeffs), degrees)
+            if tails:
+                part = total - part
         return np.sqrt(np.maximum(part, 0.0))
     out = np.empty(len(degrees))
     for i, n in enumerate(degrees):
@@ -313,7 +351,9 @@ def gp_nuclearity_sum(p: float, alpha: float, m: int,
     ||z^j||_{p,alpha+1} / ||z^j||_{p,alpha+1/m}.
 
     The ratios behave like j^{(1/m-1)/p}, so the sums grow like
-    N^{1-(1-1/m)/p}: divergence for every m > 1 rules nuclearity out.
+    N^{1-(1-1/m)/p}: divergence for every m > 1 rules nuclearity out.  The
+    scan stops at the last power of two 2^floor(log2 j_max), so only that
+    many ratios are evaluated, in blocks of _SUM_BLOCK (see _running_sums).
     """
     if m < 2:
         raise ValueError("m must be >= 2")
@@ -321,11 +361,14 @@ def gp_nuclearity_sum(p: float, alpha: float, m: int,
         raise ValueError(
             f"j_max must be >= 128 to give the classifier 4 scan degrees, "
             f"got {j_max}")
-    j = np.arange(1, j_max + 1, dtype=float)
-    sums = np.cumsum(np.exp(_log_monomial_ratio(j, p, alpha + 1.0,
-                                                alpha + 1.0 / m)))
     degrees = scan_degrees(1 << int(math.floor(math.log2(j_max))))
-    return _norm_scan(degrees, sums[np.asarray(degrees) - 1], 1.0)
+
+    def terms(lo, hi):
+        j = np.arange(lo + 1.0, hi + 1.0)
+        return np.exp(_log_monomial_ratio(j, p, alpha + 1.0, alpha + 1.0 / m))
+
+    sums, _ = _running_sums(terms, degrees[-1], np.asarray(degrees) - 1)
+    return _norm_scan(degrees, sums, 1.0)
 
 
 @dataclass(frozen=True)

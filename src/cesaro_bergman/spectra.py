@@ -18,6 +18,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, replace
+from fractions import Fraction
 
 import numpy as np
 
@@ -131,15 +132,29 @@ def waelbroeck(spec: SpectralDescription) -> SpectralDescription:
 # vectorized membership and the step-union cross-check
 # ---------------------------------------------------------------------------
 
+# near the circle the computed |lam - c| is within 3 ulps of c of the true
+# distance (lam - c rounds once, np.abs is within an ulp), so this leaves a
+# margin
+_EDGE_ULPS = 8
+
+
 def _disk_mask(desc: SpectralDescription, lams: np.ndarray) -> np.ndarray:
-    """The direct disk predicate |lam - 1/(2r)| < 1/(2r), <= when closed."""
-    # hypot rounds |lam - c| as abs(complex) does; np.abs on a complex array
-    # is an ulp off on about a third of the values
-    z = lams - desc.disk_center
-    d = np.hypot(z.real, z.imag)
-    if desc.disk_boundary is DiskBoundary.CLOSED:
-        return d <= desc.disk_radius
-    return d < desc.disk_radius
+    """The direct disk predicate |lam - 1/(2r)| < 1/(2r), <= when closed.
+
+    Within _EDGE_ULPS of the circle the rounded distance cannot decide: there
+    the float inputs x + iy and c = 1/(2r) (centre and radius alike) decide
+    exactly, as |lam - c|^2 - c^2 = x^2 + y^2 - 2xc in fractions.
+    """
+    c = desc.disk_radius
+    d = np.abs(lams - c)
+    closed = desc.disk_boundary is DiskBoundary.CLOSED
+    inside = d <= c if closed else d < c
+    for i in np.flatnonzero(np.abs(d - c) <= _EDGE_ULPS * np.spacing(c)):
+        lam = complex(lams.flat[i])
+        x, y = Fraction(lam.real), Fraction(lam.imag)
+        excess = x * x + y * y - 2 * x * Fraction(c)
+        inside.flat[i] = excess <= 0 if closed else excess < 0
+    return inside
 
 
 def _near_points(points, lams: np.ndarray, tol: float) -> np.ndarray:

@@ -187,6 +187,17 @@ class TestSpectrumCommand:
         assert "undetermined_points" not in record["set"]
         assert record["verdicts"][0]["verdict"] == "in"
 
+    def test_frechet_verdict_a_rounding_inside_the_circle(self, capsys):
+        # 0.25 + 0.25 e^(2.4i): its distance to the centre rounds to the
+        # radius 1/4, while the exact squared distance is 2.9e-18 below 1/16
+        code, out, _ = run_cli(capsys, "spectrum", "--kind", "frechet",
+                               "-p", "2", "--alpha", "2",
+                               "--lambda=0.06565157111468864+0.16886579513778774j",
+                               "--lambda=0.25+0.25j")
+        assert code == 0
+        verdicts = [v["verdict"] for v in json.loads(out)["verdicts"]]
+        assert verdicts == ["in", "out"]
+
     def test_lb_boundary_in(self, capsys):
         code, out, _ = run_cli(capsys, "spectrum", "--kind", "lb",
                                "-p", "2", "--alpha", "2", "--lambda", "0.5")

@@ -214,7 +214,7 @@ def _record_transforms(monkeypatch):
         return run
 
     monkeypatch.setattr(norms, "_fft", types.SimpleNamespace(
-        fft=recorded(scipy.fft.fft), rfft=recorded(scipy.fft.rfft)))
+        fft=recorded(np.fft.fft), rfft=recorded(np.fft.rfft)))
     return calls
 
 
@@ -376,6 +376,19 @@ class TestRadialRule:
         assert subprocess.run([sys.executable, "-c", code], env=env,
                               timeout=60).returncode == 0
 
+    def test_cli_import_leaves_out_scipy(self):
+        # the FFT is numpy's and scipy.special is imported on first use, so
+        # a command that needs neither (spectrum, every exit-2 refusal)
+        # loads no scipy module
+        src = pathlib.Path(norms.__file__).resolve().parents[1]
+        code = ("import sys, cesaro_bergman.cli; "
+                "sys.exit(sorted(m for m in sys.modules "
+                "if m.split('.')[0] == 'scipy') or None)")
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+
 
 class TestPassBlocks:
     @pytest.mark.parametrize("batch", [1 << 22, 1 << 19, 1 << 12])
@@ -509,6 +522,77 @@ class TestParsevalWeights:
 
     def test_empty_below_degree_zero(self):
         assert parseval_weights(1.0, -1).shape == (0,)
+
+
+# the alphas of the block tests: 2.9 puts b = alpha + 1 above the first
+# anchor's a = 2, so log_beta takes its broadcast branch there and its
+# scalar-b branch on every later block; at 301 the weights leave the normal
+# range near j = 570, and at 100 near j = 20,000, inside a later block of
+# 2^14
+_BLOCK_ALPHAS = [0.0, 0.5, 2.9, 40.0, 100.0, 301.0]
+_BLOCK_DEGREES = [0, 255, 256, 257, (1 << 14) - 1, 1 << 14, (1 << 14) + 1,
+                  1 << 20]
+
+
+class TestParsevalWeightBlocks:
+    """Weights from a block-aligned start are the bits of the whole vector."""
+
+    @pytest.mark.parametrize("alpha", _BLOCK_ALPHAS)
+    def test_aligned_start_matches_whole_vector(self, alpha):
+        whole = parseval_weights(alpha, 1 << 20)
+        for degree in _BLOCK_DEGREES:
+            want = whole[: degree + 1]
+            assert parseval_weights(alpha, degree).tobytes() == want.tobytes()
+            top = degree - degree % 256
+            for start in sorted({0, 256, 1 << 14, 1 << 19, top}):
+                if start <= degree:
+                    got = parseval_weights(alpha, degree, start=start)
+                    assert got.tobytes() == want[start:].tobytes(), (degree,
+                                                                     start)
+
+    @pytest.mark.parametrize("alpha", _BLOCK_ALPHAS)
+    @pytest.mark.parametrize("block", [256, 1 << 14])
+    def test_blocks_concatenate_to_whole_vector(self, alpha, block):
+        # the zeroing of subnormal weights runs per call; the weights
+        # decrease in j, so per block it zeroes what the whole call does
+        n = (1 << 16) + 3
+        whole = parseval_weights(alpha, n - 1)
+        parts = [parseval_weights(alpha, min(lo + block, n) - 1, start=lo)
+                 for lo in range(0, n, block)]
+        assert np.concatenate(parts).tobytes() == whole.tobytes()
+
+    @pytest.mark.parametrize("alpha, first_zero", [(100.0, 1 << 14),
+                                                   (301.0, 256)])
+    def test_underflow_inside_a_block(self, alpha, first_zero):
+        # the first zero weight lies inside a block, past its first index
+        w = parseval_weights(alpha, (1 << 15) - 1)
+        k = int(np.argmax(w == 0.0))
+        assert w[k] == 0.0 and first_zero < k < 2 * first_zero - 1
+        assert np.all(w[:k] >= _TINY) and np.all(w[k:] == 0.0)
+        lo = k - k % first_zero
+        got = parseval_weights(alpha, (1 << 15) - 1, start=lo)
+        assert got.tobytes() == w[lo:].tobytes()
+
+    @pytest.mark.parametrize("start", [-256, 1, 255, 257, 1000])
+    def test_unaligned_start_refused(self, start):
+        with pytest.raises(ValueError, match="multiple of 256"):
+            parseval_weights(1.0, 2000, start=start)
+
+    def test_start_past_degree_is_empty(self):
+        assert parseval_weights(1.0, 255, start=256).shape == (0,)
+
+    @pytest.mark.parametrize("p, alpha, m", [(2.0, 2.9, 2), (1.5, 2.9, 3),
+                                             (2.0, 40.0, 5)])
+    def test_log_beta_branches_agree(self, p, alpha, m):
+        # a block from j = 2^14 + 1 passes log_beta a scalar b below every a
+        # (the scalar-b branch); the whole array from j = 1 holds an a below
+        # b (the broadcast branch).  Each entry gets the same bits
+        j = np.arange(1.0, (1 << 15) + 1.0)
+        for b in (alpha + 2.0, alpha + 1.0 / m + 1.0):
+            a = j * p + 2.0
+            assert b > a.min() and b <= a[1 << 14:].min()
+            assert (log_beta(a[1 << 14:], b).tobytes()
+                    == log_beta(a, b)[1 << 14:].tobytes())
 
 
 class TestParseval:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cesaro_bergman import norms
+from cesaro_bergman import norms, scans
 from cesaro_bergman.norms import SpaceKind, SpaceSpec, monomial_norm
 from cesaro_bergman.scans import (
     GrowthKind,
@@ -147,6 +147,69 @@ class TestTruncationNorms:
             seminorm_family(TaylorTruncation(np.ones(3)), spec, 5)
         assert [e.n for e in seminorm_family(
             TaylorTruncation(np.ones(3)), spec, 6)] == [6]
+
+
+_B = scans._SUM_BLOCK
+
+
+class TestParsevalBlocks:
+    """The blocked p = 2 sums are the bits of one cumsum over all terms."""
+
+    def test_block_is_a_multiple_of_the_weight_block(self):
+        assert _B % norms._PARSEVAL_BLOCK == 0
+
+    @pytest.mark.parametrize("n", [1, 255, _B - 1, _B, _B + 1, 3 * _B + 5])
+    @pytest.mark.parametrize("alpha", [0.0, 2.9, 100.0, 301.0])
+    @pytest.mark.parametrize("tails", [False, True])
+    def test_matches_whole_cumsum(self, n, alpha, tails):
+        rng = np.random.default_rng(n)
+        c = rng.normal(size=n) + 1j * rng.normal(size=n)
+        c /= np.arange(1.0, n + 1.0) ** rng.uniform(-1.0, 1.0)
+        degrees = sorted({d for d in (0, 1, 255, 256, _B - 1, _B, _B + 1,
+                                      2 * _B, n // 2, n - 1) if d < n})
+        got = truncation_norms(c, 2.0, alpha, degrees, tails=tails)
+        oracle = oracle_parseval_tails if tails else oracle_parseval_scan_values
+        assert got.tobytes() == oracle(c, alpha, degrees).tobytes()
+
+    def test_eigenfunction_at_full_size(self):
+        c = eigenfunction_truncation(3, 1 << 20).coeffs
+        degrees = scan_degrees(1 << 20)
+        for tails in (False, True):
+            oracle = (oracle_parseval_tails if tails
+                      else oracle_parseval_scan_values)
+            got = truncation_norms(c, 2.0, 1.0, degrees, tails=tails)
+            assert got.tobytes() == oracle(c, 1.0, degrees).tobytes()
+
+    def test_overflow_matches_whole_cumsum(self):
+        # a square that overflows gives inf, an inf - inf tail nan
+        c = np.ones(2 * _B + 7, dtype=complex)
+        c[_B + 3] = 1e200
+        degrees = [0, _B + 2, _B + 3, 2 * _B + 6]
+        for tails in (False, True):
+            oracle = (oracle_parseval_tails if tails
+                      else oracle_parseval_scan_values)
+            with np.errstate(over="ignore", invalid="ignore"):
+                want = oracle(c, 1.0, degrees)
+            np.testing.assert_array_equal(
+                truncation_norms(c, 2.0, 1.0, degrees, tails=tails), want)
+
+    @pytest.mark.parametrize("n", [5, _B, _B + 1])
+    @pytest.mark.parametrize("bad", [lambda n: n, lambda n: n + _B, lambda n: -1,
+                                     lambda n: -3])
+    @pytest.mark.parametrize("p", [2.0, 3.0])
+    def test_degree_out_of_range_raises(self, n, bad, p):
+        # never an unfilled slot at p = 2, nor a silent slice at p != 2
+        for tails in (False, True):
+            with pytest.raises(IndexError, match="degrees must lie in"):
+                truncation_norms(np.ones(n), p, 1.0, [0, bad(n)],
+                                 tails=tails)
+
+
+def oracle_gp_sums(p, alpha, m, j_max, degrees):
+    j = np.arange(1, j_max + 1, dtype=float)
+    sums = np.cumsum(np.exp(norms._log_monomial_ratio(j, p, alpha + 1.0,
+                                                      alpha + 1.0 / m)))
+    return sums[np.asarray(degrees) - 1]
 
 
 class TestClassifier:
@@ -424,6 +487,17 @@ class TestGrothendieckPietsch:
     def test_exponent_validation(self, p, alpha):
         with pytest.raises(ValueError, match="finite p >= 1"):
             gp_nuclearity_sum(p, alpha, 2, j_max=256)
+
+    @pytest.mark.parametrize("j_max", [128, 1000, 10 ** 6])
+    @pytest.mark.parametrize("p, alpha, m", [(2.0, 1.0, 2), (2.0, 2.9, 5),
+                                             (1.5, 2.9, 3)])
+    def test_matches_full_cumsum(self, j_max, p, alpha, m):
+        # the scan stops at 2^floor(log2 j_max); blocks after the first take
+        # log_beta's scalar-b branch at alpha = 2.9
+        scan = gp_nuclearity_sum(p, alpha, m, j_max=j_max)
+        assert scan.degrees[-1] == 1 << (j_max.bit_length() - 1)
+        want = oracle_gp_sums(p, alpha, m, j_max, scan.degrees)
+        assert np.array(scan.values).tobytes() == want.tobytes()
 
     def test_too_short_to_classify(self):
         with pytest.raises(ValueError, match="j_max must be >= 128"):

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -84,10 +85,16 @@ ORACLE_BUILDERS = {SpaceKind.BANACH: oracle_banach_spectrum,
 # ---------------------------------------------------------------------------
 
 def oracle_disk_direct(desc, lam):
-    d = abs(lam - desc.disk_center)
+    # exact in the float inputs: |lam - c|^2 - c^2 with c the centre and
+    # the radius, no rounded distance
+    lam = complex(lam)
+    x, y = Fraction(lam.real), Fraction(lam.imag)
+    c = Fraction(desc.disk_center)
+    assert c == Fraction(desc.disk_radius)
+    excess = (x - c) ** 2 + y ** 2 - c ** 2
     if desc.disk_boundary is DiskBoundary.CLOSED:
-        return d <= desc.disk_radius
-    return d < desc.disk_radius
+        return excess <= 0
+    return excess < 0
 
 
 def oracle_disk_reciprocal(desc, lam):
@@ -399,13 +406,51 @@ class TestPredicates:
         assert inner.any() and np.all(_disk_mask(small_r, lam)[inner])
 
     def test_frechet_set_not_closed(self):
-        # members of the open disk converge to a non-member boundary point
+        # members of the open disk converge to a non-member boundary point,
+        # one exactly on the circle |lam - 1/4| = 1/4
         desc = spectrum(SpaceSpec(2.0, 2.0, FRECHET))
-        boundary = desc.disk_center + desc.disk_radius * np.exp(2.4j)
+        boundary = 0.25 + 0.25j
+        assert desc.disk_center == desc.disk_radius == 0.25
         inside = [desc.disk_center + (1 - 10.0 ** -k) * (boundary - desc.disk_center)
                   for k in range(2, 8)]
         assert all(desc.membership(z) is Membership.IN for z in inside)
         assert desc.membership(boundary) is Membership.OUT
+
+
+class TestDiskEdge:
+    """Membership within a few ulps of the circle is decided exactly."""
+
+    def test_rounded_distance_on_the_circle_inside(self):
+        # fractions put this point 2.9e-18 inside the circle (squared
+        # distance 1/16 - 2.9e-18), while hypot rounds its distance to 1/4
+        desc = spectrum(SpaceSpec(2.0, 2.0, FRECHET))
+        lam = 0.25 + 0.25 * np.exp(2.4j)
+        z = lam - 0.25
+        assert np.hypot(z.real, z.imag) == desc.disk_radius
+        assert oracle_disk_direct(desc, lam)
+        assert desc.membership(lam) is Membership.IN
+        assert waelbroeck(desc).membership(lam) is Membership.IN
+
+    @settings(max_examples=300, deadline=None)
+    @given(spec=st.builds(SpaceSpec, st.floats(1.05, 4.0), st.floats(0.05, 6.0),
+                          st.sampled_from(list(SpaceKind))),
+           theta=st.floats(-math.pi, math.pi),
+           ulps=st.integers(-12, 12), closure=st.booleans())
+    def test_near_circle_matches_exact_oracle(self, spec, theta, ulps, closure):
+        desc = spectrum(spec)
+        if closure:
+            desc = waelbroeck(desc)
+        c = desc.disk_center
+        # a point on the rounded circle, its real part moved by some ulps
+        lam = c + c * complex(math.cos(theta), math.sin(theta))
+        x = lam.real + ulps * math.ulp(lam.real)
+        lams = np.array([complex(x, lam.imag)])
+        assert _disk_mask(desc, lams)[0] == oracle_disk_direct(desc, lams[0])
+
+    def test_grid_shape_kept(self):
+        desc = spectrum(SpaceSpec(2.0, 2.0))
+        lams = np.array([[0.25 + 0.25j, 0.0], [0.5, 0.6]])
+        assert _disk_mask(desc, lams).tolist() == [[True, True], [True, False]]
 
 
 _KINDS = st.sampled_from(list(SpaceKind))
