@@ -16,7 +16,6 @@ from .norms import (
     SpaceSpec,
     inclusion_ratio_scan,
     monomial_norm,
-    norm_parseval,
     norm_quadrature,
 )
 from .scans import (

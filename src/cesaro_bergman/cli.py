@@ -28,7 +28,6 @@ from .norms import (
     inclusion_ratio_scan,
     monomial_norm,
     monomial_norm_asymptote,
-    norm_parseval,
     norm_quadrature,
 )
 from .scans import (
@@ -41,6 +40,7 @@ from .scans import (
     gp_nuclearity_sum,
     schauder_partial_sum_check,
     seminorm_family,
+    truncation_norms,
 )
 from .series import (
     TaylorTruncation,
@@ -220,7 +220,8 @@ def _cmd_norm(args: argparse.Namespace) -> int:
             "mode": "parseval",
             "alpha": args.alpha,
             "degree": f.degree,
-            "value": norm_parseval(f, args.alpha),
+            "value": float(truncation_norms(f.coeffs, 2.0, args.alpha,
+                                            [f.degree])[0]),
         }
         _write_record("norm", record, args.out)
         return EXIT_OK

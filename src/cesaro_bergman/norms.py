@@ -52,7 +52,6 @@ __all__ = [
     "monomial_norm",
     "monomial_norm_asymptote",
     "parseval_weights",
-    "norm_parseval",
     "norm_quadrature",
     "norm_quadrature_with_rule",
     "inclusion_ratio_scan",
@@ -216,17 +215,6 @@ def _check_finite_coeffs(coeffs: np.ndarray) -> None:
     if bad.any():
         j = int(np.argmax(bad))
         raise ValueError(f"coefficient {j} is not finite: {coeffs[j]}")
-
-
-def norm_parseval(f: TaylorTruncation, alpha: float) -> float:
-    """A^2_alpha norm by orthogonality of monomials (p = 2 only).
-
-    Raises ValueError, naming the first index, on a NaN or infinite
-    coefficient.
-    """
-    _check_finite_coeffs(f.coeffs)
-    w = parseval_weights(alpha, f.degree)
-    return math.sqrt(float(np.sum(np.abs(f.coeffs) ** 2 * w)))
 
 
 # ---------------------------------------------------------------------------
@@ -592,8 +580,6 @@ def inclusion_ratio_scan(p: float, mu: float, gamma: float,
     witness that the inclusion is compact (at p = 2 it acts diagonally with
     entries d_j).
     """
-    _check_exponents(p, mu)
-    _check_exponents(p, gamma)
     if not (0.0 < mu < gamma):
         raise ValueError("need 0 < mu < gamma")
     if j_max < 10:

@@ -20,6 +20,7 @@ from .norms import (
     NonConvergedQuadrature,
     SpaceKind,
     SpaceSpec,
+    _check_exponents,
     _first_step_below,
     _line_fit,
     _log_monomial_ratio,
@@ -186,15 +187,19 @@ def truncation_norms(coeffs: np.ndarray, p: float, alpha: float, degrees,
     """A^p_alpha norms of the truncations of coeffs at the given degrees, or
     with tails=True the norms of what each truncation leaves out.
 
-    The one place that picks the method: Parseval sums at p = 2, adaptive
+    The one route from coefficients to a norm: Parseval sums at p = 2, adaptive
     quadrature at rel_tol otherwise.  The Parseval sums run in blocks of
     _SUM_BLOCK terms |c_j|^2 w_j, each with its own weights from
     parseval_weights (see _running_sums); a tail is the total less the
     partial sum.  A quadrature that does not converge, or a part with a
     coefficient that overflowed to inf, gives nan; at p = 2 a square that
     overflows gives inf (a tail of inf - inf gives nan), without a warning.
-    A degree outside 0..len(coeffs)-1 raises IndexError.
+    Raises ValueError on the p, alpha that monomial_norm refuses or a rel_tol
+    outside (0, 1), and IndexError on a degree outside 0..len(coeffs)-1.
     """
+    _check_exponents(p, alpha)
+    if not 0.0 < rel_tol < 1.0:
+        raise ValueError(f"rel_tol must lie in (0, 1), got {rel_tol}")
     if len(degrees) and not 0 <= min(degrees) <= max(degrees) < len(coeffs):
         raise IndexError(f"degrees must lie in 0..{len(coeffs) - 1}, got "
                          f"{list(degrees)}")
@@ -248,11 +253,8 @@ def seminorm_family(
 
     Entries where the quadrature fails to converge are marked ok=False (value
     nan) instead of aborting the family; p = 2 uses Parseval summation.
-    Raises ValueError on rel_tol outside (0, 1), a Banach spec or no
-    admissible n <= n_max.
+    ValueError: a Banach spec, no admissible n <= n_max, rel_tol not in (0, 1).
     """
-    if not 0.0 < rel_tol < 1.0:
-        raise ValueError(f"rel_tol must lie in (0, 1), got {rel_tol}")
     steps = spec.steps(n_max)
     out: list[SeminormEntry] = []
     for n, mu in zip(steps.tolist(), spec.step_alphas(steps).tolist()):
@@ -361,11 +363,13 @@ def gp_nuclearity_sum(p: float, alpha: float, m: int,
         raise ValueError(
             f"j_max must be >= 128 to give the classifier 4 scan degrees, "
             f"got {j_max}")
+    spec = SpaceSpec(p, alpha, SpaceKind.FRECHET_INTERSECTION)  # alpha > 0
+    gamma, mu = spec.step_alphas([1, m]).tolist()  # Frechet steps 1 and m
     degrees = scan_degrees(1 << int(math.floor(math.log2(j_max))))
 
     def terms(lo, hi):
         j = np.arange(lo + 1.0, hi + 1.0)
-        return np.exp(_log_monomial_ratio(j, p, alpha + 1.0, alpha + 1.0 / m))
+        return np.exp(_log_monomial_ratio(j, p, gamma, mu))
 
     sums, _ = _running_sums(terms, degrees[-1], np.asarray(degrees) - 1)
     return _norm_scan(degrees, sums, 1.0)

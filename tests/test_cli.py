@@ -53,6 +53,42 @@ class TestNormCommand:
         vb = json.loads(out_b)["value"]
         assert abs(va - vb) / va < 1e-8
 
+    def test_parseval_is_the_family_entry_bit_for_bit(self, capsys,
+                                                       tmp_path):
+        # --parseval and --family sum through one dispatcher: the lb step
+        # n = 1 at alpha 1.5 has the weight alpha 0.5.  On this draw a
+        # pairwise np.sum of the same terms rounds differently
+        rng = np.random.default_rng(4)
+        coeffs = rng.uniform(-1, 1, (300, 2))
+        path = tmp_path / "f.json"
+        path.write_text(json.dumps(coeffs.tolist()))
+        code, out, _ = run_cli(capsys, "norm", "--parseval", "--coeffs-file",
+                               str(path), "--alpha", "0.5")
+        assert code == 0
+        value = json.loads(out)["value"]
+        code, out, _ = run_cli(capsys, "norm", "--family", "lb",
+                               "--coeffs-file", str(path), "--alpha", "1.5",
+                               "--nmax-steps", "2")
+        assert code == 0
+        first = json.loads(out)["entries"][0]
+        assert (first["n"], first["alpha"]) == (1, 0.5)
+        assert value == first["value"]
+        z = coeffs[:, 0] + 1j * coeffs[:, 1]
+        assert value == scans.truncation_norms(z, 2.0, 0.5, [299])[0]
+        terms = np.abs(z) ** 2 * norms.parseval_weights(0.5, 299)
+        assert value != math.sqrt(float(np.sum(terms)))
+
+    @pytest.mark.parametrize("alpha", ["-1.5", "-0.5"])
+    def test_parseval_negative_alpha_exits_2(self, capsys, tmp_path, alpha):
+        # the weights 2 B(2j+2, alpha+1) gave a number for a norm that does
+        # not exist, and exit 0
+        path = tmp_path / "c.json"
+        path.write_text("[[1.0, 0.0], [0.5, 0.0]]")
+        code, out, err = run_cli(capsys, "norm", "--parseval", "--coeffs-file",
+                                 str(path), "--alpha", alpha)
+        assert code == 2 and out == ""
+        assert "alpha >= 0" in err
+
     def test_family_csv(self, capsys, tmp_path):
         path = tmp_path / "c.json"
         path.write_text(json.dumps([[1.0, 0.0]]))
@@ -440,6 +476,25 @@ class TestScanCommand:
                                  *(x for kv in argv.items() for x in kv))
         assert code == 2 and out == ""
         assert "finite" in err
+
+    @pytest.mark.parametrize("alpha", ["-1.5", "-0.5"])
+    def test_eigen_negative_alpha_exits_2_at_p2(self, capsys, alpha):
+        # p = 2 skips the quadrature, which refused these; the Parseval
+        # route printed a power_divergent verdict and exit 0
+        code, out, err = run_cli(capsys, "scan", "eigen", "-m", "1", "-p",
+                                 "2", "--alpha", alpha, "--nmax", "256")
+        assert code == 2 and out == ""
+        assert "alpha >= 0" in err
+
+    @pytest.mark.parametrize("alpha, message", [("0", "alpha > 0"),
+                                                ("-0.4", "alpha >= 0")])
+    def test_gp_needs_positive_alpha(self, capsys, alpha, message):
+        # the ratios are those of the Frechet steps 1 and m, and limit
+        # spaces need alpha > 0; both printed power_divergent with exit 0
+        code, out, err = run_cli(capsys, "scan", "gp", "-m", "2", "-p", "2",
+                                 "--alpha", alpha, "--jmax", "256")
+        assert code == 2 and out == ""
+        assert message in err
 
     def test_eigen_too_short_to_classify(self, capsys):
         code, out, err = run_cli(capsys, "scan", "eigen", "-m", "1",

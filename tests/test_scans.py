@@ -130,15 +130,54 @@ class TestTruncationNorms:
         assert math.isnan(got[0]) and math.isfinite(got[1])
 
     def test_family_matches_parseval_sum(self):
-        # cumsum and np.sum order the additions differently: allow the
-        # sequential-sum bound of n ulps
+        # one route: each entry is the dispatcher's value bit for bit, and
+        # within the sequential-sum bound of n ulps of the exactly rounded
+        # sum of the same terms
         rng = np.random.default_rng(8)
         c = rng.uniform(-1, 1, 200) + 1j * rng.uniform(-1, 1, 200)
         f = TaylorTruncation(c)
         spec = SpaceSpec(2.0, 1.5, SpaceKind.FRECHET_INTERSECTION)
         for e in seminorm_family(f, spec, 4):
-            want = norms.norm_parseval(f, e.alpha)
-            assert e.ok and abs(e.value - want) <= len(c) * 2.3e-16 * want
+            assert e.ok
+            assert e.value == truncation_norms(c, 2.0, e.alpha, [199])[0]
+            want = math.sqrt(math.fsum(
+                np.abs(c) ** 2 * norms.parseval_weights(e.alpha, 199)))
+            assert abs(e.value - want) <= len(c) * 2.3e-16 * want
+
+    @pytest.mark.parametrize("n", [1, 2, 300, 5001, scans._SUM_BLOCK + 3,
+                                   1 << 20])
+    @pytest.mark.parametrize("alpha", [0.0, 0.5, 2.9, 40.0])
+    def test_parseval_sum_error_bound(self, n, alpha):
+        # the sums add in sequence, so a partial sum of d + 1 positive terms
+        # lies within d u of the exactly rounded math.fsum of the same terms
+        # (Higham 2002, ch. 4); (d + 1) 2.3e-16 leaves room for the sqrt
+        rng = np.random.default_rng(n)
+        c = rng.normal(size=n) + 1j * rng.normal(size=n)
+        c /= np.arange(1.0, n + 1.0) ** rng.uniform(-1.0, 1.0)
+        terms = np.abs(c) ** 2 * norms.parseval_weights(alpha, n - 1)
+        degrees = sorted({0, n // 2, n - 1})
+        got = truncation_norms(c, 2.0, alpha, degrees)
+        for d, value in zip(degrees, got):
+            want = math.sqrt(math.fsum(terms[: d + 1]))
+            assert abs(value - want) <= (d + 1) * 2.3e-16 * want
+
+    @pytest.mark.parametrize("p, alpha", [(2.0, -1.5), (2.0, -0.5),
+                                          (2.0, math.nan), (2.0, math.inf),
+                                          (0.5, 1.0), (math.nan, 1.0)])
+    @pytest.mark.parametrize("tails", [False, True])
+    def test_bad_exponents_refused_at_every_p(self, p, alpha, tails):
+        # p = 2 summed weights 2 B(2j+2, alpha+1) at any alpha, a norm that
+        # does not exist below alpha = 0; it now refuses what the
+        # quadrature refuses
+        with pytest.raises(ValueError, match="finite p >= 1 and alpha >= 0"):
+            truncation_norms(np.ones(5), p, alpha, [2, 4], tails=tails)
+
+    @pytest.mark.parametrize("rel_tol", [math.nan, 0.0, -1.0, 1.0, math.inf])
+    @pytest.mark.parametrize("p", [2.0, 3.0])
+    def test_bad_rel_tol_refused(self, rel_tol, p):
+        # at p = 2 the sums use no tolerance, but a bad one is still refused
+        with pytest.raises(ValueError, match="rel_tol"):
+            truncation_norms(np.ones(5), p, 1.0, [4], rel_tol=rel_tol)
 
 
     def test_family_without_admissible_step_raises(self):
@@ -498,6 +537,13 @@ class TestGrothendieckPietsch:
         assert scan.degrees[-1] == 1 << (j_max.bit_length() - 1)
         want = oracle_gp_sums(p, alpha, m, j_max, scan.degrees)
         assert np.array(scan.values).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("alpha, message", [
+        (0.0, "limit spaces need alpha > 0"), (-0.4, "alpha >= 0")])
+    def test_needs_positive_alpha(self, alpha, message):
+        # the ratios compare the Frechet steps 1 and m of A^p_alpha
+        with pytest.raises(ValueError, match=message):
+            gp_nuclearity_sum(2.0, alpha, 2, j_max=256)
 
     def test_too_short_to_classify(self):
         with pytest.raises(ValueError, match="j_max must be >= 128"):
