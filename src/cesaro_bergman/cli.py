@@ -393,7 +393,7 @@ def _scan_schauder(args: argparse.Namespace):
                          "other takes it")
     top = 2 * args.nmax
     if args.function == "constant":
-        coeffs = np.zeros(top + 1, dtype=complex)
+        coeffs = np.zeros(top + 1)
         coeffs[0] = 1.0
         f = TaylorTruncation(coeffs)
     elif args.function == "eigenfunction":

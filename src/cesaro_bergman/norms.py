@@ -417,7 +417,7 @@ def norm_quadrature_with_rule(
     _check_exponents(p, alpha)
     if not 0.0 < rel_tol < 1.0:
         raise ValueError(f"rel_tol must lie in (0, 1), got {rel_tol}")
-    coeffs = np.asarray(f.coeffs, dtype=complex)
+    coeffs = f.coeffs
     _check_finite_coeffs(coeffs)
     radial = _first_radial(len(coeffs))
     if not np.any(coeffs):

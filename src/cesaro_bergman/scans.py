@@ -29,6 +29,7 @@ from .norms import (
 )
 from .series import (
     TaylorTruncation,
+    _index,
     binomial_series_coeffs,
     cesaro_inverse_apply,
     eigenfunction_truncation,
@@ -99,7 +100,7 @@ def scan_degrees(n_max: int = DEFAULT_N_MAX) -> list[int]:
 
     classify_growth needs 4 degrees, so n_max must exceed 4 * _SCAN_START.
     """
-    if n_max <= 4 * _SCAN_START:
+    if _index(n_max, "n_max") <= 4 * _SCAN_START:
         raise ValueError(f"n_max must be >= {4 * _SCAN_START + 1} to give the "
                          f"classifier 4 scan degrees, got {n_max}")
     out = []
@@ -194,12 +195,14 @@ def truncation_norms(coeffs: np.ndarray, p: float, alpha: float, degrees,
     partial sum.  A quadrature that does not converge, or a part with a
     coefficient that overflowed to inf, gives nan; at p = 2 a square that
     overflows gives inf (a tail of inf - inf gives nan), without a warning.
-    Raises ValueError on the p, alpha that monomial_norm refuses or a rel_tol
-    outside (0, 1), and IndexError on a degree outside 0..len(coeffs)-1.
+    Raises ValueError on the p, alpha that monomial_norm refuses, a rel_tol
+    outside (0, 1) or a degree that is not an integer, and IndexError on a
+    degree outside 0..len(coeffs)-1.
     """
     _check_exponents(p, alpha)
     if not 0.0 < rel_tol < 1.0:
         raise ValueError(f"rel_tol must lie in (0, 1), got {rel_tol}")
+    degrees = [_index(n, "degree") for n in degrees]
     if len(degrees) and not 0 <= min(degrees) <= max(degrees) < len(coeffs):
         raise IndexError(f"degrees must lie in 0..{len(coeffs) - 1}, got "
                          f"{list(degrees)}")
@@ -277,7 +280,7 @@ def eigen_membership_scan(m: int, p: float, alpha: float,
                           n_max: int = DEFAULT_N_MAX) -> NormScan:
     """Norm scan of the eigenfunction z^(m-1)(1-z)^(-m) truncations in
     A^p_alpha; Converged is expected exactly when m < (2+alpha)/p."""
-    if m < 1:
+    if _index(m, "m") < 1:
         raise ValueError("m must be a positive integer")
     degrees = scan_degrees(n_max)
     coeffs = eigenfunction_truncation(m, degrees[-1]).coeffs
@@ -336,10 +339,10 @@ def counterexample_blowup(
     if alpha in alphas:
         raise ValueError(f"step {tested[alphas.index(alpha)]} moves no weight: "
                          f"alpha +/- 1/n rounds to alpha={alpha}")
-    source = binomial_series_coeffs(s, degrees[-1]).coeffs
-    inverse = cesaro_inverse_apply(TaylorTruncation(source)).coeffs
+    source = binomial_series_coeffs(s, degrees[-1])
+    inverse = cesaro_inverse_apply(source).coeffs
     source_scan = _norm_scan(degrees, truncation_norms(
-        source, p, home_alpha, degrees), p)
+        source.coeffs, p, home_alpha, degrees), p)
     inv_scans = tuple(
         (n, _norm_scan(degrees, truncation_norms(inverse, p, mu, degrees), p))
         for n, mu in zip(tested, alphas))

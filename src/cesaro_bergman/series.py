@@ -11,6 +11,7 @@ rounding.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,14 +27,30 @@ __all__ = [
 ]
 
 
+def _index(value, name: str) -> int:
+    # an int or numpy integer as an int; 2.5 or 2.0 would slice or size an
+    # array wrongly, or fail there with a TypeError
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
 @dataclass(frozen=True)
 class TaylorTruncation:
-    """Degree-N Taylor polynomial, stored as complex coefficients a_0..a_N."""
+    """Degree-N Taylor polynomial with coefficients a_0..a_N, read-only.
+
+    The dtype follows the input's dtype, never its values: a bool, integer or
+    float input is stored as float64, any other as complex128 (also when
+    every imaginary part is 0).  Every operation of this module keeps it.
+    """
 
     coeffs: np.ndarray
 
     def __post_init__(self) -> None:
-        arr = np.array(self.coeffs, dtype=complex)  # one copy, owned by self
+        arr = np.asarray(self.coeffs)
+        # one copy, owned by self
+        arr = arr.astype(float if arr.dtype.kind in "biuf" else complex)
         if arr.ndim != 1 or arr.size == 0:
             raise ValueError("coefficients must be a nonempty 1-d sequence")
         arr.flags.writeable = False
@@ -48,6 +65,10 @@ def cesaro_apply(f: TaylorTruncation) -> TaylorTruncation:
     """Coefficient-averaging (Cesàro) operator: output_k = mean(a_0..a_k)."""
     prefix = np.cumsum(f.coeffs)
     denom = np.arange(1, f.degree + 2, dtype=float)
+    if prefix.dtype == float:
+        prefix /= denom
+        prefix += 0.0  # -0.0 to +0.0, as the complex branch's added 0j does
+        return TaylorTruncation(prefix)
     # componentwise division: complex/real via Smith's algorithm loses an ulp
     return TaylorTruncation(prefix.real / denom + 1j * (prefix.imag / denom))
 
@@ -61,9 +82,14 @@ def cesaro_inverse_apply(h: TaylorTruncation) -> TaylorTruncation:
     if h.degree < 1:
         raise ValueError("cesaro_inverse_apply requires degree >= 1")
     b = h.coeffs
-    k = np.arange(len(b), dtype=float)
-    out = (k + 1.0) * b
-    out[1:] -= k[1:] * b[:-1]
+    # (k+1) b_k - k b_(k-1) in two arrays of b's dtype, the products formed
+    # in place; k goes before TaylorTruncation copies out
+    k = np.arange(len(b), dtype=b.dtype)
+    out = k + 1.0
+    out *= b
+    k[1:] *= b[:-1]
+    out[1:] -= k[1:]
+    del k
     return TaylorTruncation(out)
 
 
@@ -102,7 +128,7 @@ def binomial_series_coeffs(exponent: float, degree: int) -> TaylorTruncation:
     """
     if not math.isfinite(exponent) or exponent <= 0.0:
         raise ValueError("binomial exponent must be finite and positive")
-    if degree < 0:
+    if _index(degree, "degree") < 0:
         raise ValueError("degree must be nonnegative")
     c = np.empty(degree + 1)
     _fill_binomial(c, exponent, -1.0)
@@ -116,9 +142,9 @@ def eigenfunction_truncation(m: int, degree: int) -> TaylorTruncation:
     C(f_m) = (1/m) f_m holds exactly at coefficient level; use
     :func:`eigen_residual_exact` to verify with integer arithmetic.
     """
-    if m < 1:
+    if _index(m, "m") < 1:
         raise ValueError("m must be a positive integer")
-    if degree < m - 1:
+    if _index(degree, "degree") < m - 1:
         raise ValueError("degree must be at least m - 1")
     out = np.zeros(degree + 1)
     _fill_binomial(out[m - 1:], float(m), 1.0)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -243,6 +244,23 @@ class TestParsevalBlocks:
                 truncation_norms(np.ones(n), p, 1.0, [0, bad(n)],
                                  tails=tails)
 
+    @pytest.mark.parametrize("bad", [2.5, 2.0, np.float64(2.0), None])
+    @pytest.mark.parametrize("p", [2.0, 3.0])
+    def test_non_integral_degree_raises(self, bad, p):
+        # 2.5 at p = 2 used to read the degree-2 norm (0.6935073) without a
+        # word, and at p = 3 fail at the slice with a TypeError
+        for tails in (False, True):
+            with pytest.raises(ValueError, match="degree must be an integer"):
+                truncation_norms(np.ones(9), p, 1.0, [1, bad], tails=tails)
+
+    @pytest.mark.parametrize("p", [2.0, 3.0])
+    def test_numpy_integer_degrees_pass(self, p):
+        c = np.linspace(1.0, 0.1, 9)
+        want = truncation_norms(c, p, 1.0, [2, 8])
+        for degrees in (np.array([2, 8]), [np.int32(2), np.uint64(8)]):
+            assert truncation_norms(c, p, 1.0, degrees).tobytes() == \
+                want.tobytes()
+
 
 def oracle_gp_sums(p, alpha, m, j_max, degrees):
     j = np.arange(1, j_max + 1, dtype=float)
@@ -428,6 +446,13 @@ class TestEigenScan:
     def test_validation(self):
         with pytest.raises(ValueError):
             eigen_membership_scan(0, 2.0, 1.0)
+        # 2.5 used to fail inside eigenfunction_truncation with a TypeError
+        with pytest.raises(ValueError, match="m must be an integer"):
+            eigen_membership_scan(2.5, 2.0, 1.0, n_max=128)
+        with pytest.raises(ValueError, match="n_max must be an integer"):
+            eigen_membership_scan(1, 2.0, 1.0, n_max=128.0)
+        scan = eigen_membership_scan(np.int64(1), 2.0, 1.0, n_max=np.int32(128))
+        assert scan == eigen_membership_scan(1, 2.0, 1.0, n_max=128)
 
     def test_too_short_to_classify(self):
         # n_max = 64 gives the degrees 16, 32, 64: one short of the four the
@@ -489,6 +514,25 @@ class TestCounterexample:
         with pytest.raises(ValueError, match="step 10+ moves no weight"):
             counterexample_blowup(2.0, 1.0, 0.4, "frechet", 128,
                                   steps=[3, 10 ** 20])
+
+    def test_peak_memory_at_2_20(self):
+        # the source (1+z)^(-s) and its inverse image as float64, 8 MiB each
+        # at 2^20 + 1 terms, and one copy while the image is built: 24 MiB
+        # traced, against 72.1 MiB when both were complex128 and the source
+        # was wrapped in a second TaylorTruncation.  A small run first
+        # imports scipy.special (about 7 MiB) outside the trace
+        counterexample_blowup(2.0, 1.874, 0.2069, "frechet", 128)
+        tracemalloc.start()
+        try:
+            report = counterexample_blowup(2.0, 1.874, 0.2069, "frechet",
+                                           1 << 20)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 32 << 20
+        assert report.source_scan.classification.is_converged
+        for _, scan in report.inverse_scans:
+            assert scan.classification.kind in DIVERGENT
 
     def test_lb_home_step_is_first_admissible(self):
         # alpha = 0.3 admits LB steps n >= 4 only, above 1/epsilon = 2.5

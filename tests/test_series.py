@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cesaro_bergman.scans import truncation_norms
 from cesaro_bergman.series import (
     TaylorTruncation,
     binomial_series_coeffs,
@@ -234,6 +235,26 @@ class TestBinomialSeries:
         with pytest.raises(ValueError):
             binomial_series_coeffs(bad, 3)
 
+    @pytest.mark.parametrize("bad", [10.5, 10.0, np.float64(3.0), "3"])
+    def test_rejects_non_integral_degree(self, bad):
+        # 10.5 used to fail inside np.empty with a TypeError
+        with pytest.raises(ValueError, match="degree must be an integer"):
+            binomial_series_coeffs(0.5, bad)
+        with pytest.raises(ValueError, match="degree must be an integer"):
+            eigenfunction_truncation(2, bad)
+
+    @pytest.mark.parametrize("bad", [2.5, 2.0, np.float32(1.0)])
+    def test_eigenfunction_rejects_non_integral_m(self, bad):
+        # 2.5 used to fail at the slice out[m - 1:] with a TypeError
+        with pytest.raises(ValueError, match="m must be an integer"):
+            eigenfunction_truncation(bad, 10)
+
+    def test_numpy_integers_pass(self):
+        f = eigenfunction_truncation(np.int64(3), np.int32(40))
+        assert np.array_equal(f.coeffs, eigenfunction_truncation(3, 40).coeffs)
+        g = binomial_series_coeffs(1.5, np.uint16(40))
+        assert np.array_equal(g.coeffs, binomial_series_coeffs(1.5, 40).coeffs)
+
 
 class TestInvariants:
     def test_exact_triangularity(self):
@@ -273,3 +294,110 @@ class TestTaylorTruncation:
         f = trunc([1, 2])
         with pytest.raises(ValueError):
             f.coeffs[0] = 5.0
+
+    @pytest.mark.parametrize("data, dtype", [
+        ([True, False], np.float64),
+        (np.arange(4, dtype=np.uint8), np.float64),
+        ([1, 2, 3], np.float64),
+        (np.ones(3, dtype=np.float32), np.float64),
+        ([0.5, -0.0], np.float64),
+        (np.ones(3, dtype=np.complex64), np.complex128),
+        ([1.0, 2j], np.complex128),
+        # the dtype decides, not the values: zero imaginary parts stay complex
+        (np.array([1.0, 2.0], dtype=complex), np.complex128),
+        ([1 + 0j, 2 + 0j], np.complex128),
+    ])
+    def test_dtype_follows_the_input_dtype(self, data, dtype):
+        f = TaylorTruncation(data)
+        assert f.coeffs.dtype == dtype
+        assert not f.coeffs.flags.writeable
+        for op in (cesaro_apply, cesaro_inverse_apply, recover_from_cesaro):
+            if f.degree >= 1:
+                assert op(f).coeffs.dtype == dtype
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_owns_a_copy(self, dtype):
+        src = np.arange(5, dtype=dtype)
+        f = TaylorTruncation(src)
+        src[:] = 7.0
+        assert np.array_equal(f.coeffs, np.arange(5.0))
+        assert not np.shares_memory(f.coeffs, src)
+
+    def test_generators_keep_float64(self):
+        assert binomial_series_coeffs(1.5, 10).coeffs.dtype == np.float64
+        assert eigenfunction_truncation(3, 10).coeffs.dtype == np.float64
+
+
+# every finite float class the byte comparisons must carry: signed zeros,
+# subnormals, the largest and smallest normals, and ordinary values
+_SPECIAL = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1.5e-310, -2.2e-308,
+                            2.2250738585072014e-308, 1.7976931348623157e308,
+                            -1.0, 1.0, 1.0 / 3.0])
+_MAX_LEN = 3 * (1 << 14) + 5  # three p = 2 sum blocks and a partial one
+
+
+@st.composite
+def _real_coeffs(draw, max_len=_MAX_LEN, max_scale=300):
+    # a seeded random body at a drawn scale, with drawn values planted at
+    # drawn indices; index 0 always holds one, so -0.0 can lead the prefix
+    n = draw(st.integers(1, max_len))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    c = rng.uniform(-1.0, 1.0, n) * 10.0 ** draw(st.integers(-max_scale,
+                                                             max_scale))
+    c[rng.random(n) < draw(st.sampled_from([0.0, 0.1, 0.9]))] = 0.0
+    value = _SPECIAL | st.floats(allow_nan=False, allow_infinity=False,
+                                 max_value=10.0 ** max_scale,
+                                 min_value=-10.0 ** max_scale)
+    for i, x in draw(st.lists(st.tuples(st.integers(0, n - 1), value),
+                              max_size=12)) + [(0, draw(value))]:
+        c[i] = x
+    return c
+
+
+def _same_bytes(real_out, complex_out):
+    assert real_out.dtype == np.float64
+    assert complex_out.dtype == np.complex128
+    assert real_out.tobytes() == complex_out.real.tobytes()
+    assert np.all(complex_out.imag == 0.0)
+
+
+class TestRealEqualsComplex:
+    """A real input stored as float64 gives the bytes that the same input
+    stored as complex128 gives in its real parts: |x + 0j| = hypot(x, 0) =
+    |x|, a product with a zero imaginary part computes k x - 0, and cumsum
+    adds the real parts in the same order."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(_real_coeffs())
+    def test_series_operations(self, c):
+        f, fc = TaylorTruncation(c), TaylorTruncation(c.astype(complex))
+        with np.errstate(over="ignore", invalid="ignore"):
+            ops = [cesaro_apply]
+            if len(c) >= 2:
+                ops += [cesaro_inverse_apply, recover_from_cesaro]
+            for op in ops:
+                _same_bytes(op(f).coeffs, op(fc).coeffs)
+
+    @settings(max_examples=60, deadline=None)
+    @given(_real_coeffs(), st.sampled_from([0.0, 0.5, 2.0, 7.5]),
+           st.data())
+    def test_parseval_values_and_tails(self, c, alpha, data):
+        degrees = sorted(data.draw(st.sets(st.integers(0, len(c) - 1),
+                                           min_size=1, max_size=8)))
+        for tails in (False, True):
+            with np.errstate(over="ignore", invalid="ignore"):
+                got = truncation_norms(c, 2.0, alpha, degrees, tails=tails)
+                want = truncation_norms(c.astype(complex), 2.0, alpha,
+                                        degrees, tails=tails)
+            assert got.tobytes() == want.tobytes()
+
+    @settings(max_examples=30, deadline=None)
+    @given(_real_coeffs(max_len=41, max_scale=3),
+           st.sampled_from([1.5, 3.0]), st.sampled_from([0.0, 1.0, 2.5]),
+           st.booleans())
+    def test_quadrature_value(self, c, p, alpha, tails):
+        degree = len(c) - 1 if not tails else len(c) // 2
+        got = truncation_norms(c, p, alpha, [degree], tails=tails)
+        want = truncation_norms(c.astype(complex), p, alpha, [degree],
+                                tails=tails)
+        assert got.tobytes() == want.tobytes()
