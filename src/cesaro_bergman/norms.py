@@ -11,12 +11,21 @@ Gauss-Jacobi radial rule tensored with uniform angular grids whose size is
 graded per radial node and, at p other than an even integer, refined by a
 half-grid check (see DiskQuadrature).
 
-The radial rule is Gauss-Jacobi (alpha, 1) on [-1, 1] mapped to [0, 1].  Its
-nodes are the eigenvalues of the Jacobi matrix (Golub & Welsch, Math. Comp.
-1969), its weights the closed form 1 / ((1 - x_i^2) prod_{j != i} (x_i -
-x_j)^2) normalised to B(2, alpha+1).  Against mpmath at 40 digits, for alpha
-in {0, 0.5, 1, 2, 6, 40}, the nodes are within 3.5e-16 and the weights within
-1.1e-11 relative at 363 nodes, 6.4e-11 at 1024.
+The radial rule G_n is Gauss-Jacobi (alpha, 1) on [-1, 1] mapped to [0, 1].
+Its nodes are the eigenvalues of the Jacobi matrix J_n (Golub & Welsch,
+Math. Comp. 1969), its weights the closed form 1 / ((1 - x_i^2) prod_{j != i}
+(x_i - x_j)^2) normalised to B(2, alpha+1).  Its error check is Laurie's
+anti-Gauss rule AG_{n+1} (Math. Comp. 1996): the eigenvalues y_i of J_{n+1}
+with its last off-diagonal times sqrt(2), with weights 1 / (|prod_k (y_i -
+x_k)| prod_{j != i} |y_i - y_j|) (the eigenvector-eigenvalue identity, x_k
+the nodes of G_n) normalised the same way.  On polynomials up to degree
+2n+1 its error is that of G_n with the opposite sign, so the two bracket
+the integral, their average is exact to that degree, and |G - AG| / 2
+estimates the error of either from n+1 more nodes, where a G_2n check takes
+2n.  Against mpmath at 40 digits, for alpha in {0, 0.5, 1, 2, 6, 40} (first
+two, middle and last two nodes), the nodes of both rules are within 3.2e-16.
+The Gauss weights are within 1.1e-11 relative at 363 nodes and 6.4e-11 at
+1024, the anti-Gauss weights within 3.0e-11 and 2.8e-10.
 
 The Parseval weights w_j = 2 B(2j+2, alpha+1) follow the two-term recurrence
 w_j = w_{j-1} a(a+1) / ((a+b)(a+1+b)), a = 2j, b = alpha+1, anchored on one
@@ -59,7 +68,8 @@ __all__ = [
 
 
 class NonConvergedQuadrature(RuntimeError):
-    """Node doubling hit the cap before successive values agreed."""
+    """Node doubling hit the cap before a level's Gauss and anti-Gauss
+    passes agreed."""
 
     def __init__(self, message: str, last_value: float, rel_change: float):
         super().__init__(message)
@@ -226,32 +236,54 @@ def _check_finite_coeffs(coeffs: np.ndarray) -> None:
 _PAIR_BLOCK = 1 << 16
 
 
+def _log_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    # sum_j log |a_i - b_j| for each i, over row chunks of about _PAIR_BLOCK
+    # pairs; where a is b the terms j = i are left out
+    out = np.empty(len(a))
+    rows = max(1, _PAIR_BLOCK // len(b))
+    for lo in range(0, len(a), rows):
+        diff = np.subtract.outer(a[lo:lo + rows], b)
+        if a is b:
+            np.fill_diagonal(diff[:, lo:], 1.0)
+        np.abs(diff, out=diff)
+        np.log(diff, out=diff)
+        out[lo:lo + rows] = diff.sum(axis=1)
+    return out
+
+
 @lru_cache(maxsize=128)
-def _radial_rule(alpha: float, count: int) -> tuple[np.ndarray, np.ndarray]:
-    # nodes/weights with int_0^1 (1-r)^alpha r h(r) dr = sum w_i h(r_i), as
-    # in the module docstring: w_i is proportional to 1 / ((1 - x_i^2)
-    # P_n'(x_i)^2), and P_n'(x_i) to prod_{j != i} (x_i - x_j).  scipy.linalg
+def _radial_rule(alpha: float, count: int,
+                 anti: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    # nodes/weights with int_0^1 (1-r)^alpha r h(r) dr = sum w_i h(r_i) for
+    # the count-node Gauss rule, or with anti for its (count+1)-node
+    # anti-Gauss partner, as in the module docstring.  Gauss: w_i is
+    # proportional to 1 / ((1 - x_i^2) P_n'(x_i)^2), and P_n'(x_i) to
+    # prod_{j != i} (x_i - x_j).  Anti-Gauss: the nodes y_i are the
+    # eigenvalues of J_{n+1} with its last off-diagonal times sqrt(2), and
+    # w_i is proportional to 1 / (|prod_k (y_i - x_k)| prod_{j != i} |y_i -
+    # y_j|) over the Gauss nodes x_k, which the cache holds.  scipy.linalg
     # is imported here, since at package import it would add about 60 ms.
     from scipy.linalg import eigvalsh_tridiagonal
 
-    k = np.arange(count, dtype=float)
+    k = np.arange(count + anti, dtype=float)
     s = 2.0 * k + alpha + 1.0
     diag = (1.0 - alpha * alpha) / (s * (s + 2.0))
     k, s = k[1:], s[1:]
     off = np.sqrt(4.0 * k * (k + alpha) * (k + 1.0) * (k + alpha + 1.0)
                   / (s * s * (s + 1.0) * (s - 1.0)))
+    if anti:
+        off[-1] *= math.sqrt(2.0)
     x = eigvalsh_tridiagonal(diag, off, lapack_driver="sterf",
                              check_finite=False)
-    logw = np.empty(count)
-    rows = max(1, _PAIR_BLOCK // count)
-    for lo in range(0, count, rows):
-        diff = np.subtract.outer(x[lo:lo + rows], x)
-        np.fill_diagonal(diff[:, lo:], 1.0)
-        np.abs(diff, out=diff)
-        np.log(diff, out=diff)
-        logw[lo:lo + rows] = diff.sum(axis=1)
-    logw *= -2.0
-    logw -= np.log1p(-x) + np.log1p(x)
+    logw = _log_distances(x, x)
+    if anti:
+        # 2 r - 1 gives back the Gauss nodes to within an ulp of 1
+        gauss = 2.0 * _radial_rule(alpha, count, False)[0] - 1.0
+        logw += _log_distances(x, gauss)
+        logw *= -1.0
+    else:
+        logw *= -2.0
+        logw -= np.log1p(-x) + np.log1p(x)
     w = np.exp(logw - logw.max())
     w *= 1.0 / ((alpha + 1.0) * (alpha + 2.0) * w.sum())
     return (x + 1.0) / 2.0, w
@@ -261,19 +293,22 @@ def _radial_rule(alpha: float, count: int) -> tuple[np.ndarray, np.ndarray]:
 class DiskQuadrature:
     """Tensor rule for int_D |f|^p (1-|z|)^alpha dA / pi.
 
-    radial_nodes/radial_weights absorb the weight (1-r)^alpha r on [0, 1]
-    (the Gauss-Jacobi rule of the module docstring, cached per count).  Per
-    radial node the angular size is a power of two of at least 64 points
-    (_ANGULAR_MIN), and >= p * eff / 2 + 1 at even p (alias bound: exact for
-    |f|^p); eff is the effective degree (cut rel_tol/1000N).  At every other
-    p a node starts at the power of two T >= 2 (eff + 1), where the T/2-point
-    grid still samples f without aliasing, and doubles T until the mean of
-    |f|^p on T points is within 0.1 rel_tol of the mean on its even points
-    (the T/2-point sum, free from the same FFT), or until T reaches the cap
-    T >= 4 p (eff + 1).  The trapezoid rule converges geometrically at a rate
-    set by 1 - r, not by p (Trefethen & Weideman, SIAM Rev. 2014), so most
-    nodes stop below the cap.  A node whose mean is not finite stops at once.
-    The driver sets rel_error_estimate.
+    radial_nodes/radial_weights absorb the weight (1-r)^alpha r on [0, 1]:
+    the n-node Gauss-Jacobi rule G_n of the module docstring, or with
+    anti_gauss its (n+1)-node anti-Gauss partner AG_{n+1}, each cached per
+    count.  The driver returns the average of the two, on the 2n+1
+    interlaced nodes.  Per radial node the angular size is a power of two of
+    at least 64 points (_ANGULAR_MIN), and >= p * eff / 2 + 1 at even p
+    (alias bound: exact for |f|^p); eff is the effective degree (cut
+    rel_tol/1000N).  At every other p a node starts at the power of two
+    T >= 2 (eff + 1), where the T/2-point grid still samples f without
+    aliasing, and doubles T until the mean of |f|^p on T points is within
+    0.1 rel_tol of the mean on its even points (the T/2-point sum, free from
+    the same FFT), or until T reaches the cap T >= 4 p (eff + 1).  The
+    trapezoid rule converges geometrically at a rate set by 1 - r, not by p
+    (Trefethen & Weideman, SIAM Rev. 2014), so most nodes stop below the
+    cap.  A node whose mean is not finite stops at once.  The driver sets
+    rel_error_estimate.
     """
 
     radial_nodes: np.ndarray
@@ -281,12 +316,14 @@ class DiskQuadrature:
     rel_error_estimate: float = math.nan
 
     @classmethod
-    def build(cls, alpha: float, radial_count: int) -> "DiskQuadrature":
+    def build(cls, alpha: float, radial_count: int,
+              anti_gauss: bool = False) -> "DiskQuadrature":
         if not (math.isfinite(alpha) and alpha >= 0.0):
             raise ValueError(f"alpha must be finite and >= 0, got {alpha}")
         if radial_count < 2:
             raise ValueError("radial_count must be >= 2")
-        return cls(*_radial_rule(float(alpha), int(radial_count)))
+        return cls(*_radial_rule(float(alpha), int(radial_count),
+                                 bool(anti_gauss)))
 
     @property
     def radial_count(self) -> int:
@@ -338,7 +375,10 @@ def _mean_weights(t: int, real: bool) -> np.ndarray:
 
 
 def _pnorm_single_pass(coeffs: np.ndarray, p: float, quad: DiskQuadrature,
-                       log_cut: float, rel_tol: float) -> float:
+                       log_cut: float, rel_tol: float) -> tuple[float, float]:
+    # (int_D |f|^p (1-|z|)^alpha dA / pi on the rule, the same sum over each
+    # node's gap |s_T - s_{T/2}| on its last grid); the gap is 0 at even p,
+    # where the grids are exact
     logr = np.log(quad.radial_nodes)
     eff = _effective_degrees(coeffs, logr, log_cut)
     floor = _ANGULAR_MIN.bit_length() - 1
@@ -351,7 +391,7 @@ def _pnorm_single_pass(coeffs: np.ndarray, p: float, quad: DiskQuadrature,
     cap = ang if even else pow2(_ANGULAR_FACTOR * p * (eff + 1.0))
     real = not np.any(coeffs.imag)
     coeffs = coeffs.real if real else coeffs
-    total = 0.0
+    total = gap = 0.0
     # ang[i] is node i's next grid size, 0 once the node is summed
     with np.errstate(over="ignore", invalid="ignore"):
         while ang.any():
@@ -373,21 +413,33 @@ def _pnorm_single_pass(coeffs: np.ndarray, p: float, quad: DiskQuadrature,
                     block, n=t, axis=1))
                 vals **= p
                 s = vals @ mean
-                refine = cap[sel] > t
-                if refine.any():
-                    # the even bins are the t/2-point sum; a non-finite s
-                    # never compares as refinable
-                    refine &= (np.abs(s - vals[:, ::2] @ half)
-                               > 0.1 * rel_tol * s)
-                done = sel[~refine]
-                total += float(np.dot(quad.radial_weights[done], s[~refine]))
-                ang[done] = 0
-                ang[sel[refine]] = 2 * t
-    return (2.0 * total) ** (1.0 / p)
+                weights = quad.radial_weights[sel]
+                if even:
+                    total += float(np.dot(weights, s))
+                    ang[sel] = 0
+                    continue
+                # the even bins are the t/2-point sum; a non-finite s never
+                # compares as refinable
+                diff = np.abs(s - vals[:, ::2] @ half)
+                done = (cap[sel] <= t) | ~(diff > 0.1 * rel_tol * s)
+                total += float(np.dot(weights[done], s[done]))
+                gap += float(np.dot(weights[done], diff[done]))
+                ang[sel[done]] = 0
+                ang[sel[~done]] = 2 * t
+    return 2.0 * total, 2.0 * gap
 
 
 def _first_radial(n: int) -> int:
     return min(512, max(32, math.ceil(4.0 * math.sqrt(n))))
+
+
+def _averaged(gauss: DiskQuadrature, anti: DiskQuadrature,
+              estimate: float) -> DiskQuadrature:
+    # (G_n + AG_{n+1}) / 2 on the 2n+1 nodes, which interlace
+    nodes = np.concatenate([gauss.radial_nodes, anti.radial_nodes])
+    order = np.argsort(nodes, kind="stable")
+    weights = np.concatenate([gauss.radial_weights, anti.radial_weights])
+    return DiskQuadrature(nodes[order], 0.5 * weights[order], estimate)
 
 
 def norm_quadrature_with_rule(
@@ -398,20 +450,31 @@ def norm_quadrature_with_rule(
 ) -> tuple[float, DiskQuadrature]:
     """A^p_alpha norm by adaptive tensor quadrature, with the final rule.
 
-    Doubles the radial count (re-grading the angular grids accordingly) until
-    two successive values agree to rel_tol.  The first count is min(512,
-    max(32, ceil(4 sqrt(N)))) for N coefficients: 4 sqrt(N) resolves the 1/N
-    boundary layer, and the floor of 32 spares small inputs the 64- and
-    128-node rule builds.  When the next doubling would pass the cap of 4096
-    nodes (_MAX_RADIAL), the last pass runs at the cap if that is at least 1.5
-    times the current count, and the doubling stops otherwise (a smaller step
-    would barely refine the value, so two passes would agree by
-    construction).  Raises ValueError when a coefficient is NaN or infinite
-    (naming the first such index), and :class:`NonConvergedQuadrature`,
-    naming the last pass's count, when no two passes agree, which signals an
-    integrand too singular at the boundary for the requested tolerance.  A
-    pass that is not finite (|f|^p overflows although every coefficient is
-    finite) raises it at once, with that value as last_value and rel_change
+    Each level n runs two passes: the n-node Gauss-Jacobi rule G_n and its
+    (n+1)-node anti-Gauss partner AG_{n+1} (Laurie, Math. Comp. 1996), whose
+    error on polynomials up to degree 2n+1 is that of G_n with the opposite
+    sign.  The value is ((I_G + I_AG) / 2)^(1/p), I the integral of |f|^p,
+    and the returned rule is that average, on the 2n+1 interlaced nodes.
+    When the radial estimate |v_G - v_AG| / (2 v), v = I^(1/p), exceeds
+    rel_tol, n doubles (re-grading the angular grids accordingly).  The
+    reported rel_error_estimate is the larger of the radial estimate and
+    an angular one: each node's gap |s_T - s_{T/2}| between the means of
+    |f|^p on its last grid and on the half grid, summed with the radial
+    weights of both passes and divided by p (I_G + I_AG) (0 at even p,
+    where the grids are exact).  Only the radial estimate decides
+    convergence.  The first level is
+    min(512, max(32, ceil(4 sqrt(N)))) for N coefficients: 4 sqrt(N)
+    resolves the 1/N boundary layer, and the floor of 32 spares small
+    inputs the 64- and 128-node rule builds.  When the next doubling would
+    pass the cap of 4096 (_MAX_RADIAL), the last level runs at the cap if
+    that is at least 1.5 times the current n, and the doubling stops
+    otherwise (a smaller step would barely refine the value).  Raises
+    ValueError when a coefficient is NaN or infinite (naming the first such
+    index), and :class:`NonConvergedQuadrature`, naming the last level's
+    node counts, when no level converges, which signals an integrand too
+    singular at the boundary for the requested tolerance.  A pass that is
+    not finite (|f|^p overflows although every coefficient is finite)
+    raises it at once, with that pass's value as last_value and rel_change
     nan.
     """
     _check_exponents(p, alpha)
@@ -425,20 +488,27 @@ def norm_quadrature_with_rule(
         return 0.0, replace(rule, rel_error_estimate=0.0)
     # per-node cutoff, biasing the norm by at most rel_tol / 1000
     log_cut = math.log(rel_tol * 1e-3 / len(coeffs))
-    prev = None
-    rel_change = math.inf
     while True:
-        rule = DiskQuadrature.build(alpha, radial)
-        value = _pnorm_single_pass(coeffs, p, rule, log_cut, rel_tol)
-        if not math.isfinite(value):
-            raise NonConvergedQuadrature(
-                f"|f|^p overflows: the pass at {radial} radial nodes reads "
-                f"{value}", last_value=value, rel_change=math.nan)
-        if prev is not None:
-            rel_change = abs(value - prev) / max(abs(value), 1e-300)
-            if rel_change <= rel_tol:
-                return value, replace(rule, rel_error_estimate=rel_change)
-        prev = value
+        passes = []
+        for anti in (False, True):
+            rule = DiskQuadrature.build(alpha, radial, anti_gauss=anti)
+            integral, gap = _pnorm_single_pass(coeffs, p, rule, log_cut,
+                                               rel_tol)
+            if not math.isfinite(integral):
+                value = integral ** (1.0 / p)
+                raise NonConvergedQuadrature(
+                    f"|f|^p overflows: the pass at {rule.radial_count} radial "
+                    f"nodes reads {value}", last_value=value,
+                    rel_change=math.nan)
+            passes.append((rule, integral, gap))
+        (gauss, i_g, gap_g), (anti, i_ag, gap_ag) = passes
+        value = (0.5 * (i_g + i_ag)) ** (1.0 / p)
+        rel_change = abs(i_g ** (1.0 / p) - i_ag ** (1.0 / p)) / max(
+            2.0 * value, 1e-300)
+        if rel_change <= rel_tol:
+            # I moves by its gap, so v moves by gap / (p I)
+            angular = (gap_g + gap_ag) / max(p * (i_g + i_ag), 1e-300)
+            return value, _averaged(gauss, anti, max(rel_change, angular))
         if 2 * radial <= _MAX_RADIAL:
             radial *= 2
         elif 2 * _MAX_RADIAL >= 3 * radial:
@@ -446,8 +516,10 @@ def norm_quadrature_with_rule(
         else:
             break
     raise NonConvergedQuadrature(
-        f"no agreement to rel_tol={rel_tol:g} by the last pass, at {radial} "
-        "radial nodes", last_value=value, rel_change=rel_change)
+        f"no agreement to rel_tol={rel_tol:g} by the last level: its Gauss "
+        f"and anti-Gauss passes at {radial} and {radial + 1} radial nodes "
+        f"differ by {rel_change:.3g}", last_value=value,
+        rel_change=rel_change)
 
 
 def norm_quadrature(f: TaylorTruncation, p: float, alpha: float,

@@ -123,7 +123,8 @@ def classify_growth(degrees, values, power: float = 1.0) -> GrowthClass:
     LogDivergent (v^p ~ log N); the exponent is slope / power.  A slope
     within 3 stderr of a band edge, a value that is not finite, or a window
     that starts at 0 before the values grow (the law has not set in) is
-    Undetermined; any other increment <= 0 in the window is Converged.
+    Undetermined; any other increment <= 0 in the window, in v or in
+    power * log v, is Converged.
     """
     d = np.asarray(degrees, dtype=float)
     v = np.asarray(values, dtype=float)
@@ -138,6 +139,8 @@ def classify_growth(degrees, values, power: float = 1.0) -> GrowthClass:
         return GrowthClass(GrowthKind.CONVERGED)
     logd = np.log(d[start:])
     lv = power * np.log(v[start:])  # in logs: v**power may over/underflow
+    if np.any(np.diff(lv) <= 0.0):  # an ulp's increment that the log loses
+        return GrowthClass(GrowthKind.CONVERGED)
     log_inc = lv[1:] + np.log(-np.expm1(lv[:-1] - lv[1:]))
     slope, stderr, r2 = _line_fit((logd[1:] + logd[:-1]) / 2.0,
                                   log_inc - np.log(np.diff(logd)))

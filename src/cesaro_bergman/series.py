@@ -115,7 +115,9 @@ def _fill_binomial(out: np.ndarray, exponent: float, flip: float) -> None:
     np.divide(exponent - 1.0, np.arange(1.0, len(out)), out=ratios)
     ratios += 1.0
     ratios *= flip
-    np.multiply.accumulate(ratios, out=ratios)
+    # past the float range the product reads inf, which the callers handle
+    with np.errstate(over="ignore"):
+        np.multiply.accumulate(ratios, out=ratios)
 
 
 def binomial_series_coeffs(exponent: float, degree: int) -> TaylorTruncation:

@@ -29,7 +29,11 @@ from cesaro_bergman.norms import (
     norm_quadrature_with_rule,
     parseval_weights,
 )
-from cesaro_bergman.scans import seminorm_family, truncation_norms
+from cesaro_bergman.scans import (
+    eigen_membership_scan,
+    seminorm_family,
+    truncation_norms,
+)
 from cesaro_bergman.series import (
     TaylorTruncation,
     binomial_series_coeffs,
@@ -166,6 +170,12 @@ def oracle_pnorm_single_pass(coeffs, p, quad, cut, rel_tol=None, base=64):
     return (2.0 * total) ** (1.0 / p)
 
 
+def pass_norm(coeffs, p, quad, log_cut, rel_tol):
+    # the norm one library pass gives: the p-th root of its integral
+    integral, _ = norms._pnorm_single_pass(coeffs, p, quad, log_cut, rel_tol)
+    return integral ** (1.0 / p)
+
+
 # coefficients in [-1, 1] on a 1e-3 lattice, often exactly zero
 _coeff = st.one_of(st.just(0.0),
                    st.integers(-1000, 1000).map(lambda k: k / 1000.0))
@@ -259,8 +269,7 @@ class TestSinglePassOracle:
         quad = DiskQuadrature.build(alpha, radial)
         # the fixed 1e-20 of earlier releases and the cutoff tied to 5e-5
         for cut, rel_tol in ((1e-20, 1e-9), (5e-5 * 1e-3 / len(coeffs), 5e-5)):
-            got = norms._pnorm_single_pass(coeffs, p, quad, math.log(cut),
-                                           rel_tol)
+            got = pass_norm(coeffs, p, quad, math.log(cut), rel_tol)
             want = oracle_pnorm_single_pass(coeffs, p, quad, cut, rel_tol)
             assert got == pytest.approx(want, rel=1e-13, abs=0.0)
 
@@ -276,8 +285,7 @@ class TestSinglePassOracle:
         monkeypatch.setattr(norms, "_ANGULAR_MIN", 2)
         for alpha in (0.0, 1.0, 2.5):
             quad = DiskQuadrature.build(alpha, 16)
-            got = norms._pnorm_single_pass(coeffs, 4.0, quad,
-                                           math.log(1e-20), 1e-9)
+            got = pass_norm(coeffs, 4.0, quad, math.log(1e-20), 1e-9)
             want = math.sqrt(parseval_norm(
                 TaylorTruncation(np.convolve(coeffs, coeffs)), alpha))
             assert got == pytest.approx(want, rel=1e-12)
@@ -395,6 +403,110 @@ class TestRadialRule:
         assert proc.returncode == 0, proc.stderr
 
 
+def _mp_jacobi_matrix(mpmath, alpha, count, anti):
+    # the Jacobi matrix of the (alpha, 1) weight on [-1, 1] at count rows,
+    # its last off-diagonal times sqrt(2) with anti, in mpmath numbers
+    a = mpmath.mpf(alpha)
+    J = mpmath.zeros(count, count)
+    for k in range(count):
+        s = 2 * k + a + 1
+        J[k, k] = (1 - a * a) / (s * (s + 2))
+        if k:
+            off = mpmath.sqrt(4 * k * (k + a) * (k + 1) * (k + a + 1)
+                              / (s * s * (s + 1) * (s - 1)))
+            if anti and k == count - 1:
+                off *= mpmath.sqrt(2)
+            J[k, k - 1] = J[k - 1, k] = off
+    return J
+
+
+class TestAntiGaussRule:
+    # AG_{n+1}: the nodes of J_{n+1} with its last off-diagonal times
+    # sqrt(2), and its error on polynomials up to degree 2n+1 that of G_n
+    # with the opposite sign (Laurie, Math. Comp. 1996)
+
+    @pytest.mark.parametrize("count", [32, 363, 1024, 4096])
+    @pytest.mark.parametrize("alpha", [0.0, 0.5, 2.0, 6.0, 40.0, 301.0])
+    def test_nodes_inside_and_weights_positive(self, alpha, count):
+        r, w = norms._radial_rule(alpha, count, True)
+        g = norms._radial_rule(alpha, count, False)[0]
+        assert len(r) == count + 1
+        assert r[0] > 0.0 and r[-1] < 1.0
+        # the nodes interlace with the Gauss nodes
+        assert np.all(r[:-1] < g) and np.all(g < r[1:])
+        assert np.all(w >= 0.0)
+        zero = w == 0.0
+        if zero.any():
+            # w_i ~ (1 - r_i)^alpha leaves the float range at the outermost
+            # nodes, as the Gauss weights do, at alpha = 301 from n = 1024
+            assert alpha == 301.0 and count >= 1024
+            assert np.all(zero[np.argmax(zero):])
+        assert 2.0 * w.sum() == pytest.approx(
+            2.0 / ((alpha + 1.0) * (alpha + 2.0)), rel=1e-13)
+
+    @pytest.mark.parametrize("count", _RULE_COUNTS)
+    @pytest.mark.parametrize("alpha", _RULE_ALPHAS)
+    def test_error_opposite_to_gauss_to_degree_2n_plus_1(self, alpha, count):
+        # sum w_i r_i^k = 2 I - G(r^k) for k <= 2n+1, with I = B(k+2,
+        # alpha+1) exactly; G_{n+1} in its place would miss at k = 2n, 2n+1
+        r, w = norms._radial_rule(alpha, count, True)
+        rg, wg = norms._radial_rule(alpha, count, False)
+        k = np.arange(2 * count + 2, dtype=float)
+        exact = np.exp(betaln(k + 2.0, alpha + 1.0))
+        anti = np.power.outer(r, k).T @ w
+        gauss = np.power.outer(rg, k).T @ wg
+        assert np.abs(anti / (2.0 * exact - gauss) - 1.0).max() <= 1e-11
+        # and the average is exact there
+        assert np.abs((anti + gauss) / (2.0 * exact) - 1.0).max() <= 1e-11
+
+    # eigsy costs O(n^3) mpmath operations: 5 s at 65 rows
+    @pytest.mark.parametrize("alpha, count", [
+        (alpha, count) for alpha in (0.0, 0.5, 2.0, 40.0)
+        for count in (2, 3, 16, 32)] + [(1.0, 64)])
+    def test_against_mpmath_eigenvalues(self, alpha, count):
+        # the eigenvalues y_i and unit eigenvectors v_i of the modified
+        # J_{n+1} at 30 digits: nodes (y_i + 1) / 2 and weights
+        # B(2, alpha+1) v_i0^2 (Golub & Welsch)
+        mpmath = pytest.importorskip("mpmath")
+        r, w = norms._radial_rule(alpha, count, True)
+        with mpmath.workdps(30):
+            eig, vec = mpmath.eigsy(_mp_jacobi_matrix(mpmath, alpha,
+                                                      count + 1, True))
+            mass = 1 / ((mpmath.mpf(alpha) + 1) * (mpmath.mpf(alpha) + 2))
+            order = sorted(range(count + 1), key=lambda i: eig[i])
+            for j, i in enumerate(order):
+                assert abs(float((eig[i] + 1) / 2) - r[j]) <= 1e-15
+                assert abs(float(mass * vec[0, i] ** 2 / w[j]) - 1.0) <= 1e-10
+
+    def test_one_eigenvalue_solve_per_build(self, monkeypatch):
+        # the anti-Gauss build takes the Gauss nodes of its level from the
+        # cache: once G_n is built, AG_{n+1} runs one tridiagonal solve
+        import scipy.linalg
+
+        sizes = []
+        solve = scipy.linalg.eigvalsh_tridiagonal
+
+        def counted(d, e, **kwargs):
+            sizes.append(len(d))
+            return solve(d, e, **kwargs)
+
+        norms._radial_rule(2.5, 77, False)
+        monkeypatch.setattr(scipy.linalg, "eigvalsh_tridiagonal", counted)
+        norms._radial_rule.__wrapped__(2.5, 77, True)
+        assert sizes == [78]
+
+    def test_weights_built_in_blocks(self):
+        # both log-products run over chunks of about 2^16 node pairs
+        norms._radial_rule(2.0, 4096, False)
+        tracemalloc.start()
+        try:
+            norms._radial_rule.__wrapped__(2.0, 4096, True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 << 20
+
+
 class TestPassBlocks:
     @pytest.mark.parametrize("batch", [1 << 22, 1 << 19, 1 << 12])
     @pytest.mark.parametrize("p", [1.5, 3.0, 4.0])
@@ -408,7 +520,10 @@ class TestPassBlocks:
         want = norms._pnorm_single_pass(coeffs, p, quad, log_cut, 5e-5)
         monkeypatch.setattr(norms, "_BATCH_ELEMENTS", batch)
         got = norms._pnorm_single_pass(coeffs, p, quad, log_cut, 5e-5)
-        assert got == pytest.approx(want, rel=1e-15, abs=0.0)
+        # the integral to rounding; the angular gap, a difference of two
+        # sums, to rounding of the integral
+        assert got[0] == pytest.approx(want[0], rel=1e-15, abs=0.0)
+        assert abs(got[1] - want[1]) <= 1e-15 * want[0]
 
     def test_top_pass_memory(self):
         # the top pass of an eigen-quad scan, with an angular tolerance
@@ -653,14 +768,15 @@ class TestQuadrature:
 
     def test_nonconvergence_raises(self, monkeypatch):
         # |f|^3 (1-|z|)^2 with f = (1+z)^-1.25 is barely integrable: the
-        # passes at 254 and 508 radial nodes differ by about 1.7e-10
+        # Gauss and anti-Gauss passes differ by about 4.3e-11 at level 254
+        # and 7.8e-11 at level 508, the last below the cap of 512
         s = (2.0 + 1.0 - 0.5) / 2.0
         f = binomial_series_coeffs(s, 4000)
         monkeypatch.setattr(norms, "_MAX_RADIAL", 512)
         with pytest.raises(NonConvergedQuadrature) as exc:
-            norm_quadrature(f, 3.0, 2.0, rel_tol=1e-10)
+            norm_quadrature(f, 3.0, 2.0, rel_tol=1e-12)
         assert math.isfinite(exc.value.last_value)
-        assert 1e-10 < exc.value.rel_change < 1e-8
+        assert 1e-12 < exc.value.rel_change < 1e-9
 
     def test_overflow_stops_at_the_first_pass(self, monkeypatch):
         # finite coefficients up to 3.2e217, but |f|^1.5 overflows: the
@@ -686,21 +802,24 @@ class TestQuadrature:
     @staticmethod
     def _pass_counts(monkeypatch, n, max_radial):
         # radial counts of the passes of a run whose values never agree; the
-        # rules and passes are stand-ins, so large counts cost nothing
+        # rules and passes are stand-ins, so large counts cost nothing.  A
+        # level n runs G_n, then AG_{n+1}
         counts = []
 
         def spy(coeffs, p, quad, log_cut, rel_tol):
             counts.append(quad.radial_count)
-            return float(len(counts))
+            return float(len(counts)), 0.0
 
         monkeypatch.setattr(norms, "_radial_rule",
-                            lambda alpha, count: (np.ones(count),) * 2)
+                            lambda alpha, count, anti: (np.ones(count + anti),)
+                            * 2)
         monkeypatch.setattr(norms, "_pnorm_single_pass", spy)
         monkeypatch.setattr(norms, "_MAX_RADIAL", max_radial)
         with pytest.raises(NonConvergedQuadrature) as exc:
             norm_quadrature_with_rule(trunc(np.ones(n)), 3.0, 1.0,
                                       rel_tol=1e-9)
-        assert f"at {counts[-1]} radial nodes" in str(exc.value)
+        assert (f"at {counts[-2]} and {counts[-1]} radial nodes"
+                in str(exc.value))
         return counts
 
     @pytest.mark.parametrize("n, first", [
@@ -708,26 +827,28 @@ class TestQuadrature:
         (1025, 129), (20000, 512)])
     def test_first_radial_count(self, monkeypatch, n, first):
         # max(32, ceil(4 sqrt(N))), capped at 512
-        assert self._pass_counts(monkeypatch, n, first) == [first]
+        assert self._pass_counts(monkeypatch, n, first) == [first, first + 1]
 
     @pytest.mark.parametrize("n, last", [
-        # 2448 -> 4096 is a step of 1.67: the last pass runs at the cap
+        # 2448 -> 4096 is a step of 1.67: the last level runs at the cap
         (1461, [2448, 4096]),
         # 4064 -> 4096 is below 1.5: the doubling stops at 4064
         (4001, [2032, 4064])])
     def test_last_pass_capped_at_max_radial(self, monkeypatch, n, last):
         counts = self._pass_counts(monkeypatch, n, 4096)
-        assert counts[-2:] == last
-        assert all(b == 2 * a for a, b in zip(counts, counts[1:-1]))
+        levels = counts[::2]
+        assert counts[1::2] == [level + 1 for level in levels]
+        assert levels[-2:] == last
+        assert all(b == 2 * a for a, b in zip(levels, levels[1:-1]))
 
     def test_nonconvergence_names_the_last_pass(self, monkeypatch):
         # the doubling 254 -> 508 stops below a cap of 700 (1016 > 700 and
-        # 700 < 1.5 * 508): the message names 508, not 700
+        # 700 < 1.5 * 508): the message names level 508, not 700
         f = binomial_series_coeffs(1.25, 4000)
         monkeypatch.setattr(norms, "_MAX_RADIAL", 700)
         with pytest.raises(NonConvergedQuadrature,
-                           match=r"at 508 radial nodes"):
-            norm_quadrature(f, 3.0, 2.0, rel_tol=1e-10)
+                           match=r"at 508 and 509 radial nodes"):
+            norm_quadrature(f, 3.0, 2.0, rel_tol=1e-12)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf,
                                      complex(1.0, math.nan)])
@@ -768,6 +889,100 @@ def test_pool_norms_match_references():
     assert checked == 96
 
 
+def test_error_estimates_against_references():
+    # perfbench/user_norm_refs.json: its 96 pool values converge with an
+    # estimate within rel_tol and lie within rel_tol of their references.
+    # Its two fault inputs stop their angular grids at the cap and miss
+    # their references by 3.42e-7 and 4.71e-7; the radial estimate reads
+    # about 1e-15 there, the angular one 3.5e-6 and 8.9e-7
+    doc = json.loads(REFS_FILE.read_text(encoding="utf-8"))
+    for entry in doc["pool"]:
+        f = trunc([complex(*c) for c in entry["coeffs"]])
+        for p, by_alpha in entry["refs"].items():
+            for alpha, ref in by_alpha.items():
+                value, rule = norm_quadrature_with_rule(
+                    f, float(p), float(alpha), rel_tol=1e-9)
+                assert rule.rel_error_estimate <= 1e-9
+                assert abs(value - ref) <= 1e-9 * ref
+    for fault in doc["faults"]:
+        f = trunc([complex(*c) for c in fault["coeffs"]])
+        value, rule = norm_quadrature_with_rule(f, fault["p"], fault["alpha"],
+                                                rel_tol=1e-9)
+        error = abs(value - fault["ref"]) / fault["ref"]
+        assert 1e-7 < error <= rule.rel_error_estimate
+
+
+class TestGaussAntiGaussDriver:
+    def test_returns_the_averaged_rule(self):
+        # the 2n+1 interlaced nodes of G_n and AG_{n+1} at half weight: a
+        # pass on it gives the value's p-th power.  The zeros of f lie at
+        # modulus 1.5 to 3.6, so the first level, n = 32, converges
+        coeffs = np.array([1.0, 0.5 - 0.2j, 0.25, -0.1j])
+        value, rule = norm_quadrature_with_rule(TaylorTruncation(coeffs), 1.5,
+                                                2.0, rel_tol=1e-9)
+        assert rule.radial_count == 2 * 32 + 1
+        assert np.all(np.diff(rule.radial_nodes) > 0.0)
+        assert 2.0 * rule.radial_weights.sum() == pytest.approx(
+            2.0 * math.exp(log_beta(2.0, 3.0)), rel=1e-13)
+        log_cut = math.log(1e-9 * 1e-3 / len(coeffs))
+        assert pass_norm(coeffs, 1.5, rule, log_cut, 1e-9) == pytest.approx(
+            value, rel=1e-14)
+
+    @pytest.mark.parametrize("p", [1.5, 3.0, 4.0])
+    def test_estimate_covers_the_angular_gap(self, p, monkeypatch):
+        # at p = 4 the grids are exact and the gap is 0; elsewhere the
+        # estimate is at least the weighted gap over p I of both passes
+        rng = np.random.default_rng(5)
+        coeffs = _zeros_inside(rng, 30)
+        passes = []
+        single = norms._pnorm_single_pass
+
+        def spy(*args):
+            passes.append(single(*args))
+            return passes[-1]
+
+        monkeypatch.setattr(norms, "_pnorm_single_pass", spy)
+        _, rule = norm_quadrature_with_rule(TaylorTruncation(coeffs), p, 0.5,
+                                            rel_tol=1e-9)
+        (i_g, gap_g), (i_ag, gap_ag) = passes[-2:]
+        if p == 4.0:
+            assert gap_g == gap_ag == 0.0
+        else:
+            assert gap_g > 0.0 and gap_ag > 0.0
+        radial = abs(i_g ** (1 / p) - i_ag ** (1 / p)) / (
+            2.0 * (0.5 * (i_g + i_ag)) ** (1 / p))
+        angular = (gap_g + gap_ag) / (p * (i_g + i_ag))
+        assert rule.rel_error_estimate == max(radial, angular)
+
+
+# the 15 (p, m, alpha) scans of the eigen-quad benchmark workload
+# (EIGEN_QUAD_CASES in perfbench/workloads.py), run there at N = 2^13
+_EIGEN_QUAD_CASES = [
+    (1.5, 1, 0.5), (1.5, 2, 2.0), (1.5, 3, 4.0), (1.5, 3, 1.0),
+    (1.5, 4, 2.0), (1.5, 5, 3.0), (3.0, 1, 2.0), (3.0, 1, 4.0),
+    (3.0, 2, 6.0), (3.0, 2, 2.0), (3.0, 3, 1.0), (3.0, 3, 4.0),
+    (4.0, 2, 1.0), (4.0, 2, 4.0), (4.0, 3, 2.0)]
+
+
+def test_eigen_quad_scans_keep_twenty_passes(monkeypatch):
+    # every scan degree converges on its first level, G_n then AG_{n+1} at
+    # n = _first_radial(N): 2 passes at each of the 10 degrees
+    builds = []
+    build = DiskQuadrature.build.__func__
+
+    def counted(cls, alpha, radial_count, anti_gauss=False):
+        builds.append((radial_count, anti_gauss))
+        return build(cls, alpha, radial_count, anti_gauss)
+
+    monkeypatch.setattr(DiskQuadrature, "build", classmethod(counted))
+    for p, m, alpha in _EIGEN_QUAD_CASES:
+        builds.clear()
+        scan = eigen_membership_scan(m, p, alpha, n_max=1 << 13)
+        first = [norms._first_radial(d + 1) for d in scan.degrees]
+        assert builds == [(n, anti) for n in first for anti in (False, True)]
+        assert len(builds) == 20
+
+
 def _assert_tracks_old_start(monkeypatch, seed, draws, min_degree,
                              max_degree, old_first):
     # _first_radial = old_first reproduces the old start.
@@ -796,7 +1011,7 @@ def _assert_tracks_old_start(monkeypatch, seed, draws, min_degree,
         fine = DiskQuadrature.build(alpha, 2048)
         with monkeypatch.context() as patch:
             patch.setattr(norms, "_ANGULAR_MIN", 1 << 15)
-            ref = norms._pnorm_single_pass(c, p, fine, math.log(1e-25), 1e-12)
+            ref = pass_norm(c, p, fine, math.log(1e-25), 1e-12)
         assert abs(new - ref) <= abs(old - ref) + rel_tol * ref
 
 
@@ -821,16 +1036,26 @@ def _zeros_inside(rng, degree):
     return np.poly(zeros)[::-1].astype(complex)
 
 
+class _Stop(Exception):
+    pass
+
+
 def _tied_pass(monkeypatch, coeffs, p, alpha, rel_tol, radial):
-    # starting and capped at radial nodes, the driver runs one pass, at its
-    # own cutoff
+    # one pass on the radial-node Gauss rule at the cutoff that the driver
+    # ties to rel_tol, read from the driver's first pass, which is stopped
+    cuts = []
+
+    def first_pass(c, p_, quad, log_cut, tol):
+        cuts.append(log_cut)
+        raise _Stop
+
     with monkeypatch.context() as patch:
-        patch.setattr(norms, "_first_radial", lambda n: radial)
-        patch.setattr(norms, "_MAX_RADIAL", radial)
-        with pytest.raises(NonConvergedQuadrature) as exc:
+        patch.setattr(norms, "_pnorm_single_pass", first_pass)
+        with pytest.raises(_Stop):
             norm_quadrature_with_rule(TaylorTruncation(coeffs), p, alpha,
                                       rel_tol=rel_tol)
-    return exc.value.last_value, DiskQuadrature.build(alpha, radial)
+    quad = DiskQuadrature.build(alpha, radial)
+    return pass_norm(coeffs, p, quad, cuts[0], rel_tol), quad
 
 
 class TestTiedCutoff:
@@ -847,8 +1072,7 @@ class TestTiedCutoff:
                 coeffs = eigenfunction_truncation(m, n - 1).coeffs
                 tied, quad = _tied_pass(monkeypatch, coeffs, p, 1.0, rel_tol,
                                         128)
-                full = norms._pnorm_single_pass(coeffs, p, quad,
-                                                math.log(1e-20), rel_tol)
+                full = pass_norm(coeffs, p, quad, math.log(1e-20), rel_tol)
                 assert abs(tied - full) <= rel_tol / 1000 * full
 
     @pytest.mark.parametrize("rel_tol", [5e-5, 1e-9])
@@ -859,8 +1083,7 @@ class TestTiedCutoff:
             for p in (1.5, 3.0):
                 tied, quad = _tied_pass(monkeypatch, coeffs, p, 0.5, rel_tol,
                                         64)
-                full = norms._pnorm_single_pass(coeffs, p, quad,
-                                                math.log(1e-20), rel_tol)
+                full = pass_norm(coeffs, p, quad, math.log(1e-20), rel_tol)
                 assert abs(tied - full) <= rel_tol / 1000 * full
 
     @pytest.mark.parametrize("rel_tol", [5e-5, 1e-9])
@@ -953,8 +1176,7 @@ class TestAngularRefinement:
             coeffs = np.asarray(coeffs, dtype=complex)
             quad = DiskQuadrature.build(alpha, radial)
             cut = rel_tol * 1e-3 / len(coeffs)
-            got = norms._pnorm_single_pass(coeffs, p, quad, math.log(cut),
-                                           rel_tol)
+            got = pass_norm(coeffs, p, quad, math.log(cut), rel_tol)
             want = oracle_pnorm_single_pass(coeffs, p, quad, cut)
             assert abs(got - want) <= rel_tol / (10.0 * p) * want
 

@@ -332,6 +332,18 @@ class TestClassifier:
         vals[-1] = vals[-2]
         assert classify_growth(DEGS, vals).kind is GrowthKind.CONVERGED
 
+    @pytest.mark.filterwarnings("error")
+    def test_increment_lost_in_logs_converges(self):
+        # eigen_membership_scan(1, 1.5, 3.5, n_max=2^14): its last values
+        # rise by an ulp or two, which 1.5 log v rounds away, so the log
+        # increment would be log 0 and the exponent nan
+        vals = [0.19784756226390413, 0.1978493089452603, 0.19784944127748705,
+                0.19784945021857292, 0.19784945079062807, 0.1978494508263861,
+                0.19784945082860272, 0.19784945082873953, 0.19784945082874825,
+                0.19784945082874855, 0.19784945082874858]
+        got = classify_growth(DEGS, vals, 1.5)
+        assert got.kind is GrowthKind.CONVERGED and got.exponent is None
+
     def test_window_before_the_values_start_is_undetermined(self):
         # z^65 (1-z)^(-66) truncates to 0 up to degree 64: the increment
         # 32 -> 64 is 0 because the function has not started, not because

@@ -182,6 +182,16 @@ class TestBinomialSeries:
         assert np.allclose(got.coeffs, oracle)
         assert np.allclose(got.coeffs, [1, -2, 3, -4, 5])
 
+    @pytest.mark.filterwarnings("error")
+    def test_overflow_reads_inf_without_a_warning(self):
+        # C(k, 199) passes the float range at k = 2739 and C(k + 199, 199)
+        # at k = 2540: those coefficients read inf, which the scans print as
+        # null, and numpy's overflow warning stays silent
+        c = eigenfunction_truncation(200, 4096).coeffs
+        assert np.all(np.isfinite(c[:2739])) and np.all(np.isinf(c[2739:]))
+        c = binomial_series_coeffs(200.0, 4096).coeffs
+        assert np.all(np.isfinite(c[:2540])) and np.all(np.isinf(c[2540:]))
+
     def test_geometric_is_exact_to_2_20(self):
         c = eigenfunction_truncation(1, BIG).coeffs
         assert np.all(c == 1.0)
